@@ -2,12 +2,17 @@
 
 The paper stores rules in relations partly because "storing more rules
 ... increases the overhead for storing and searching these rules".
-This benchmark times forward+backward inference against rule bases from
-18 (the ship knowledge) up to thousands of synthetic rules.  Expected
-shape: linear in the rule count for the chaining loop.
+This benchmark times uncached forward+backward inference (the engine's
+memo is switched off with ``REPRO_CACHE=off``, so every call chains)
+against rule bases of 10^2, 10^3 and 10^4 rules.  The rules crowd onto
+a few attributes with disjoint premise intervals, the shape induced
+rule schemes have, plus one live chain the query fires.
+
+Guard: retrieval goes through the shared rule index, so growth is
+sub-linear -- 10^4 rules cost at most 5x the time of 10^2 rules.
 """
 
-import pytest
+import time
 
 from repro.inference import TypeInferenceEngine
 from repro.reporting import render_table
@@ -15,12 +20,22 @@ from repro.rules import Clause, Rule, RuleSet
 
 from conftest import record_report
 
-_RESULTS: dict[int, float] = {}
+SIZES = (100, 1_000, 10_000)
+#: Attributes the synthetic rules crowd onto (one rule scheme each).
+SCHEMES = 10
+GUARD = 5.0
+#: Timing: best of SAMPLES interleaved samples of CALLS calls each.
+SAMPLES = 15
+CALLS = 20
+
+CONDITIONS = [Clause.between("Q.A", 10, 20),
+              Clause.between("T.X0", 42, 45)]
 
 
 def synthetic_rules(n_rules: int) -> RuleSet:
-    """Chains of rules over disjoint attributes plus one live chain the
-    query conditions actually fire."""
+    """A two-rule chain the conditions fire, then *n_rules* - 2 rules
+    spread over :data:`SCHEMES` schemes ``T.Xk --> T.Yk`` with disjoint
+    premise intervals and distinct consequences."""
     rules = RuleSet()
     rules.add(Rule([Clause.between("Q.A", 0, 100)],
                    Clause.equals("Q.B", "hit"), support=5,
@@ -28,39 +43,66 @@ def synthetic_rules(n_rules: int) -> RuleSet:
     rules.add(Rule([Clause.equals("Q.B", "hit")],
                    Clause.equals("Q.C", "chained"), support=5))
     for index in range(n_rules - 2):
-        attribute = f"T{index}.X"
+        scheme, slot = index % SCHEMES, index // SCHEMES
         rules.add(Rule(
-            [Clause.between(attribute, index, index + 10)],
-            Clause.equals(f"T{index}.Y", f"label{index}"),
+            [Clause.between(f"T.X{scheme}", slot * 10, slot * 10 + 9)],
+            Clause.equals(f"T.Y{scheme}", f"c{slot}"),
             support=index % 7))
     return rules
 
 
-@pytest.mark.parametrize("n_rules", [18, 180, 1800])
-def test_inference_latency(benchmark, n_rules):
-    rules = synthetic_rules(n_rules)
-    engine = TypeInferenceEngine(rules)
-    conditions = [Clause.between("Q.A", 10, 20)]
+def test_inference_latency_sweep(monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    engines = {}
+    build_s = {}
+    for n_rules in SIZES:
+        rules = synthetic_rules(n_rules)
+        start = time.perf_counter()
+        rules.index()
+        build_s[n_rules] = time.perf_counter() - start
+        engine = TypeInferenceEngine(rules)
+        result = engine.infer(CONDITIONS)
+        assert result.forward_subtypes() == ["HIT"]
+        assert len(result.forward) == 3  # the chain and T.X0 -> T.Y0
+        assert engine.memo_hits == engine.memo_misses == 0
+        engines[n_rules] = engine
 
-    result = benchmark(engine.infer, conditions)
-    assert result.forward_subtypes() == ["HIT"]
-    assert len(result.forward) == 2  # the chain fired
+    best = {n_rules: float("inf") for n_rules in SIZES}
+    for _sample in range(SAMPLES):
+        for n_rules, engine in engines.items():
+            start = time.perf_counter()
+            for _call in range(CALLS):
+                engine.infer(CONDITIONS)
+            best[n_rules] = min(best[n_rules],
+                                (time.perf_counter() - start) / CALLS)
 
-    if benchmark.stats is None:  # --benchmark-disable smoke run
-        return
-    _RESULTS[n_rules] = benchmark.stats["mean"]
-    if n_rules == 1800:
-        rows = [[count, f"{_RESULTS[count] * 1e6:.1f}"]
-                for count in sorted(_RESULTS)]
-        record_report(
-            "E11", "Inference latency vs rule-base size",
-            render_table(["rules", "mean microseconds"], rows))
+    growth = best[SIZES[-1]] / best[SIZES[0]]
+    passed = growth <= GUARD
+    rows = [[n_rules, f"{best[n_rules] * 1e6:.1f}",
+             f"{best[n_rules] / best[SIZES[0]]:.2f}x",
+             f"{build_s[n_rules] * 1e3:.2f}"] for n_rules in SIZES]
+    record_report(
+        "E11", "Uncached inference latency vs rule-base size",
+        render_table(["rules", "best microseconds", "vs 10^2",
+                      "index build ms"], rows)
+        + f"\n\nguard: 10^4 rules <= {GUARD:.0f}x of 10^2 rules: "
+        + ("ok" if passed else "FAIL") + f" ({growth:.2f}x)",
+        data={"sizes": list(SIZES), "schemes": SCHEMES,
+              "infer_s": {str(n): best[n] for n in SIZES},
+              "index_build_s": {str(n): build_s[n] for n in SIZES},
+              "growth": growth, "guard": f"<= {GUARD:.0f}x",
+              "guard_passed": passed})
+    assert passed, (
+        f"inference grew {growth:.1f}x from {SIZES[0]} to {SIZES[-1]} "
+        f"rules (guard {GUARD:.0f}x)")
 
 
-def test_ship_inference_latency(benchmark, ship_system):
-    """Inference over the real ship knowledge base (Example 3 facts)."""
+def test_ship_inference_latency(benchmark, ship_system, monkeypatch):
+    """Uncached inference over the real ship knowledge base (Example 3
+    facts)."""
     from repro.rules.clause import AttributeRef
 
+    monkeypatch.setenv("REPRO_CACHE", "off")
     conditions = [Clause.equals("INSTALL.Sonar", "BQS-04")]
     equivalences = [
         (AttributeRef("SUBMARINE", "Class"),
@@ -70,3 +112,4 @@ def test_ship_inference_latency(benchmark, ship_system):
 
     result = benchmark(ship_system.engine.infer, conditions, equivalences)
     assert set(result.forward_subtypes()) == {"BQS", "SSN"}
+

@@ -124,14 +124,13 @@ class TypeInferenceEngine:
                 # Contradictory conditions: the query denotes the empty
                 # set.  That *is* an intensional answer ("no instance
                 # can qualify"), not an execution failure.
-                obs.counter("inference_unsatisfiable_total",
-                            "queries proven unsatisfiable from their "
-                            "own conditions").inc()
-                span.set(outcome="unsatisfiable")
-                return InferenceResult(conditions, facts, [], [],
-                                       classification_attributes=(
-                                           self._classification),
-                                       unsatisfiable=True)
+                return self._unsatisfiable(conditions, facts, span)
+            if facts.misses_domain():
+                # A condition outside its declared domain: no legal
+                # value qualifies (and every premise on the attribute
+                # would be vacuously subsumed, firing rules that
+                # contradict one another).
+                return self._unsatisfiable(conditions, facts, span)
 
             derivations = []
             propagations = []
@@ -139,17 +138,22 @@ class TypeInferenceEngine:
             if forward:
                 fired: set[int] = set()
                 with obs.span("inference.forward") as forward_span:
-                    for _round in range(20):
-                        rounds += 1
-                        new_derivations = forward_chain(facts, self.rules,
-                                                        fired=fired)
-                        new_propagations = (
-                            propagate_bounds(facts, self.constraints)
-                            if self.constraints else [])
-                        derivations.extend(new_derivations)
-                        propagations.extend(new_propagations)
-                        if not new_derivations and not new_propagations:
-                            break
+                    try:
+                        for _round in range(20):
+                            rounds += 1
+                            new_derivations = forward_chain(
+                                facts, self.rules, fired=fired)
+                            new_propagations = (
+                                propagate_bounds(facts, self.constraints)
+                                if self.constraints else [])
+                            derivations.extend(new_derivations)
+                            propagations.extend(new_propagations)
+                            if not new_derivations and not new_propagations:
+                                break
+                    except InferenceError:
+                        # The rules derive contradictory facts from the
+                        # conditions: no instance can qualify either.
+                        return self._unsatisfiable(conditions, facts, span)
                     forward_span.set(rounds=rounds,
                                      fired=len(derivations),
                                      propagations=len(propagations))
@@ -177,3 +181,14 @@ class TypeInferenceEngine:
                                    classification_attributes=(
                                        self._classification),
                                    propagations=propagations)
+
+    def _unsatisfiable(self, conditions: Sequence[Clause], facts: FactBase,
+                       span) -> InferenceResult:
+        obs.counter("inference_unsatisfiable_total",
+                    "queries proven unsatisfiable from their "
+                    "own conditions").inc()
+        span.set(outcome="unsatisfiable")
+        return InferenceResult(conditions, facts, [], [],
+                               classification_attributes=(
+                                   self._classification),
+                               unsatisfiable=True)

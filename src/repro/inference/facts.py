@@ -84,6 +84,18 @@ class FactBase:
     def domain_for(self, ref: AttributeRef) -> Interval | None:
         return self._domains.get(self.canonicalizer.canon(ref).key)
 
+    def misses_domain(self) -> bool:
+        """Whether some fact lies wholly outside its declared domain
+        (values the domain cannot order with are not counted)."""
+        for key, (_ref, entry) in self._facts.items():
+            domain = self._domains.get(key)
+            try:
+                if domain is not None and not entry.interval.overlaps(domain):
+                    return True
+            except TypeError:
+                continue
+        return False
+
     # -- facts ---------------------------------------------------------------
 
     def assert_interval(self, ref: AttributeRef, interval: Interval,

@@ -54,23 +54,26 @@ class SemanticResult(NamedTuple):
     notes: list[SemanticNote]
 
 
-def _rule_applies(rule: Rule, relation_name: str,
-                  intervals: dict[str, Interval]) -> bool:
-    """Whether every premise of *rule* is implied by the query's
-    constraints on *relation_name* (premise interval contains the
-    query's interval for that attribute)."""
-    key = relation_name.lower()
-    if rule.rhs.attribute.relation.lower() != key:
-        return False
-    for clause in rule.lhs:
-        if clause.attribute.relation.lower() != key:
-            return False
-        constraint = intervals.get(clause.attribute.attribute.lower())
-        if constraint is None:
-            return False
-        if not clause.interval.contains(constraint):
-            return False
-    return True
+def _candidates(relation_name: str, intervals: dict[str, Interval],
+                rules: RuleSet) -> list[Rule]:
+    """The rules, in rule-number order, whose premises and consequence
+    all lie on columns of *relation_name* the query constrains (read
+    from the shared rule index).  Tightening never adds a constrained
+    column, so the list holds for the whole fixpoint."""
+    index = rules.index()
+    constrained = {(relation_name.lower(), column) for column in intervals}
+    positions: set[int] = set()
+    for key in constrained:
+        postings = index.premises.get(key)
+        if postings is not None:
+            positions.update(postings.positions)
+    out = []
+    for position in sorted(positions):
+        rule = index.rules[position]
+        if rule.rhs.attribute.key in constrained and all(
+                clause.attribute.key in constrained for clause in rule.lhs):
+            out.append(rule)
+    return out
 
 
 def analyze(relation_name: str, intervals: dict[str, Interval],
@@ -89,15 +92,18 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
 
     with obs.span("plan.semantic", relation=relation_name,
                   constraints=len(current)) as span:
+        candidates = _candidates(relation_name, current, rules)
         for _pass in range(MAX_PASSES):
             changed = False
-            for rule in rules:
-                if not _rule_applies(rule, relation_name, current):
+            for rule in candidates:
+                # Applies when every premise interval contains the
+                # query's constraint on that column.
+                if not all(clause.interval.contains(
+                        current[clause.attribute.key[1]])
+                        for clause in rule.lhs):
                     continue
-                column = rule.rhs.attribute.attribute.lower()
-                constraint = current.get(column)
-                if constraint is None:
-                    continue  # unconstrained column: nothing to tighten
+                column = rule.rhs.attribute.key[1]
+                constraint = current[column]
                 tightened = constraint.intersect(rule.rhs.interval)
                 if tightened is None:
                     premise = " and ".join(c.render() for c in rule.lhs)

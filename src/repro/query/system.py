@@ -248,7 +248,8 @@ class IntensionalQueryProcessor:
                                       degraded)
             if cached is not None:
                 span.set(rows=len(cached.extensional),
-                         intensional=len(cached.inference.answers()),
+                         intensional=(len(cached.inference.forward)
+                                      + len(cached.inference.backward)),
                          cached=True)
                 if obs.enabled():
                     obs.observe_query(cached.statement.render(),
@@ -278,7 +279,8 @@ class IntensionalQueryProcessor:
                     equivalences=conditions.equivalences,
                     forward=forward, backward=backward)
             span.set(rows=len(extensional),
-                     intensional=len(inference.answers()),
+                     intensional=(len(inference.forward)
+                                  + len(inference.backward)),
                      degraded=degraded)
         result = QueryResult(statement, extensional, inference,
                              conditions.unused, warnings=warnings)

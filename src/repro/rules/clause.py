@@ -208,15 +208,18 @@ class AttributeRef:
     """A relation-qualified attribute name, e.g. ``CLASS.Displacement``.
 
     Matching is case-insensitive; the declared spelling is preserved.
+    :attr:`key` is the case-folded ``(relation, attribute)`` pair every
+    lookup goes through, computed once here.
     """
 
-    __slots__ = ("relation", "attribute")
+    __slots__ = ("relation", "attribute", "key")
 
     def __init__(self, relation: str, attribute: str):
         if not relation or not attribute:
             raise RuleError("attribute reference needs relation and name")
         self.relation = relation
         self.attribute = attribute
+        self.key = (relation.lower(), attribute.lower())
 
     @classmethod
     def parse(cls, text: str) -> "AttributeRef":
@@ -225,10 +228,6 @@ class AttributeRef:
             raise RuleError(
                 f"attribute reference {text!r} must be relation.attribute")
         return cls(relation, attribute)
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.relation.lower(), self.attribute.lower())
 
     def render(self) -> str:
         return f"{self.relation}.{self.attribute}"

@@ -3,17 +3,24 @@
 "The rules generated for the same attribute pair (X, Y) consist of the
 rule set designated by the rule scheme X --> Y" (Section 5.2.1).  A
 :class:`RuleSet` is the whole knowledge base's rule collection; a
-:class:`RuleScheme` is one ``X --> Y`` group within it.  The set keeps
-lookup indexes by premise and consequence attribute, which the inference
-processor uses for forward and backward chaining respectively.
+:class:`RuleScheme` is one ``X --> Y`` group within it.
+
+Section 5 warns that "storing more rules ... increases the overhead for
+storing and searching these rules".  The set therefore keeps one
+:class:`RuleIndex` per version: for every attribute, the rules with a
+premise on it and the rules concluding on it, with their distinct
+intervals sorted by lower endpoint.  Forward chaining, backward
+matching and the planner's semantic optimizer all retrieve their
+candidate rules from it instead of scanning the whole set.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from repro.rules.clause import AttributeRef
+from repro.rules.clause import AttributeRef, Clause, Interval
 from repro.rules.rule import Rule
 
 #: Process-wide monotonic source for :attr:`RuleSet.version`.  Every
@@ -46,8 +53,106 @@ class RuleScheme:
         return f"<RuleScheme {self.render()}, {len(self.rules)} rules>"
 
 
+def _low_key(value) -> tuple:
+    """Sort key of a lower endpoint (``None`` is minus infinity)."""
+    return (0,) if value is None else (1, value)
+
+
+class Postings:
+    """The rules with a clause on one attribute.
+
+    :attr:`positions` lists the rules' 0-based positions in rule-number
+    order.  The distinct clause intervals are also kept sorted by lower
+    endpoint, each with the positions of the rules that use it, so
+    :meth:`containing` and :meth:`within` bisect to the intervals that
+    can qualify and test only those.  Intervals whose endpoints cannot
+    be ordered are not narrowed: every rule stays a candidate.
+    """
+
+    __slots__ = ("attribute", "positions", "_groups", "_lows")
+
+    def __init__(self, entries: list[tuple[int, Clause]]):
+        #: the attribute as the first rule on it spells it.
+        self.attribute = entries[0][1].attribute
+        self.positions = sorted({position for position, _ in entries})
+        groups: dict[Interval, list[int]] = {}
+        for position, clause in entries:
+            groups.setdefault(clause.interval, []).append(position)
+        try:
+            self._groups = sorted(groups.items(),
+                                  key=lambda group: _low_key(group[0].low))
+        except TypeError:
+            self._groups = None
+            return
+        self._lows = [_low_key(interval.low) for interval, _ in self._groups]
+
+    def containing(self, interval: Interval) -> list[int]:
+        """Positions of the rules whose interval contains *interval*
+        (only intervals starting at or below it can)."""
+        if self._groups is None:
+            return self.positions
+        try:
+            stop = bisect_right(self._lows, _low_key(interval.low))
+            return _merged(positions for candidate, positions
+                           in self._groups[:stop]
+                           if candidate.contains(interval))
+        except TypeError:
+            return self.positions
+
+    def within(self, interval: Interval) -> list[int]:
+        """Positions of the rules whose interval lies inside *interval*
+        (only intervals starting inside it can)."""
+        if self._groups is None:
+            return self.positions
+        try:
+            start = bisect_left(self._lows, _low_key(interval.low))
+            stop = (len(self._lows) if interval.high is None
+                    else bisect_right(self._lows, _low_key(interval.high)))
+            return _merged(positions for candidate, positions
+                           in self._groups[start:stop]
+                           if interval.contains(candidate))
+        except TypeError:
+            return self.positions
+
+
+def _merged(position_lists: Iterable[list[int]]) -> list[int]:
+    return sorted({position for positions in position_lists
+                   for position in positions})
+
+
+class RuleIndex:
+    """Per-attribute :class:`Postings` of one rule-set version.
+
+    ``rules`` is the rule sequence the positions refer to;
+    ``premises`` and ``conclusions`` map an attribute key to the
+    postings of the rules with a premise on it and of the rules
+    concluding on it.
+    """
+
+    __slots__ = ("version", "rules", "premises", "conclusions", "relations")
+
+    def __init__(self, rules: Sequence[Rule], version: int):
+        self.version = version
+        self.rules = tuple(rules)
+        premises: dict[tuple[str, str], list] = {}
+        conclusions: dict[tuple[str, str], list] = {}
+        for position, rule in enumerate(self.rules):
+            for clause in rule.lhs:
+                premises.setdefault(clause.attribute.key, []).append(
+                    (position, clause))
+            conclusions.setdefault(rule.rhs.attribute.key, []).append(
+                (position, rule.rhs))
+        self.premises = {key: Postings(entries)
+                         for key, entries in premises.items()}
+        self.conclusions = {key: Postings(entries)
+                            for key, entries in conclusions.items()}
+        #: relation names (lower) some rule mentions.
+        self.relations = frozenset(
+            key[0] for key in itertools.chain(premises, conclusions))
+
+
 class RuleSet:
-    """An ordered collection of rules with attribute indexes.
+    """An ordered collection of rules with an attribute index.
 
     Rule numbers are assigned on insertion (1-based, stable), matching
     the paper's R1..R17 numbering style.
@@ -55,8 +160,7 @@ class RuleSet:
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self._rules: list[Rule] = []
-        self._by_lhs: dict[tuple[str, str], list[Rule]] = {}
-        self._by_rhs: dict[tuple[str, str], list[Rule]] = {}
+        self._index: RuleIndex | None = None
         #: Rule-base version: a process-unique integer reassigned on
         #: every :meth:`add`.  The query cache keys plan entries and
         #: intensional answers on it, so swapping in a re-induced rule
@@ -77,9 +181,6 @@ class RuleSet:
     def add(self, rule: Rule) -> Rule:
         rule.number = len(self._rules) + 1
         self._rules.append(rule)
-        for clause in rule.lhs:
-            self._by_lhs.setdefault(clause.attribute.key, []).append(rule)
-        self._by_rhs.setdefault(rule.rhs.attribute.key, []).append(rule)
         self.version = next(_VERSIONS)
         return rule
 
@@ -101,20 +202,31 @@ class RuleSet:
             raise IndexError(f"no rule numbered {number}")
         return self._rules[number - 1]
 
+    def index(self) -> RuleIndex:
+        """The attribute index of the current version (built lazily)."""
+        index = self._index
+        if index is None or index.version != self.version:
+            index = self._index = RuleIndex(self._rules, self.version)
+        return index
+
     def rules_with_premise_on(self, attribute: AttributeRef) -> list[Rule]:
         """Rules having a premise clause on *attribute* (forward index)."""
-        return list(self._by_lhs.get(attribute.key, ()))
+        return self._rules_in(self.index().premises, attribute)
 
     def rules_concluding_on(self, attribute: AttributeRef) -> list[Rule]:
         """Rules whose consequence is on *attribute* (backward index)."""
-        return list(self._by_rhs.get(attribute.key, ()))
+        return self._rules_in(self.index().conclusions, attribute)
+
+    def _rules_in(self, postings_by_key: dict,
+                  attribute: AttributeRef) -> list[Rule]:
+        postings = postings_by_key.get(attribute.key)
+        if postings is None:
+            return []
+        return [self._rules[position] for position in postings.positions]
 
     def premise_attributes(self) -> list[AttributeRef]:
-        seen: dict[tuple[str, str], AttributeRef] = {}
-        for rule in self._rules:
-            for clause in rule.lhs:
-                seen.setdefault(clause.attribute.key, clause.attribute)
-        return list(seen.values())
+        return [postings.attribute
+                for postings in self.index().premises.values()]
 
     def schemes(self) -> list[RuleScheme]:
         """Group rules into their ``X --> Y`` rule schemes (stable order)."""
@@ -146,9 +258,7 @@ class RuleSet:
     def references(self, relation_name: str) -> bool:
         """Whether any rule mentions *relation_name* (premise or
         conclusion)."""
-        key = relation_name.lower()
-        return any(attr_key[0] == key for attr_key in self._by_lhs) or any(
-            attr_key[0] == key for attr_key in self._by_rhs)
+        return relation_name.lower() in self.index().relations
 
     def fresh_for(self, relation) -> bool:
         """Whether query rewrites against *relation* are still sound.

@@ -1,7 +1,12 @@
 """Unit tests for contradictory-condition handling."""
 
+import pytest
+
 from repro.inference import TypeInferenceEngine
+from repro.query import IntensionalQueryProcessor
+from repro.rules import Rule, RuleSet
 from repro.rules.clause import Clause
+from repro.synth import build_instance
 
 
 class TestUnsatisfiableQueries:
@@ -49,3 +54,51 @@ class TestUnsatisfiableQueries:
             "WHERE SUBMARINE.Class = CLASS.Class "
             "AND SUBMARINE.Class = '0101' AND CLASS.Class = '0215'")
         assert result.inference.unsatisfiable
+
+
+@pytest.fixture(scope="module")
+def hospital_system():
+    instance = build_instance("hospital", seed=0)
+    return IntensionalQueryProcessor(instance.database, instance.rules,
+                                     binding=instance.binding)
+
+
+class TestOutOfDomainConditions:
+    """A condition disjoint from its declared domain used to make every
+    premise on the attribute vacuously subsumed; the rules that then
+    fired contradicted one another and the ask raised."""
+
+    def test_severity_outside_domain(self, hospital_system):
+        result = hospital_system.ask(
+            "SELECT PATIENT.Id FROM PATIENT "
+            "WHERE PATIENT.Severity >= 101 AND PATIENT.Severity <= 104")
+        assert result.extensional.rows == []
+        assert result.inference.unsatisfiable
+        assert not result.inference.forward
+        assert "contradictory" in result.inference.combined_answer()
+
+    def test_displacement_above_domain(self, ship_system):
+        result = ship_system.ask(
+            "SELECT SUBMARINE.ID, SUBMARINE.NAME, SUBMARINE.CLASS, "
+            "CLASS.TYPE FROM SUBMARINE, CLASS "
+            "WHERE SUBMARINE.CLASS = CLASS.CLASS "
+            "AND CLASS.DISPLACEMENT > 30500")
+        assert result.extensional.rows == []
+        assert result.inference.unsatisfiable
+        assert result.intensional == []
+
+    def test_edge_of_domain_still_satisfiable(self, ship_system):
+        result = ship_system.ask(
+            "SELECT Class FROM CLASS WHERE Displacement >= 30000")
+        assert not result.inference.unsatisfiable
+
+
+class TestContradictionWhileChaining:
+    def test_derived_contradiction_is_unsatisfiable(self):
+        rules = RuleSet([
+            Rule([Clause.between("T.A", 0, 10)], Clause.equals("T.B", 1)),
+            Rule([Clause.between("T.A", 5, 10)], Clause.equals("T.B", 2))])
+        result = TypeInferenceEngine(rules).infer(
+            [Clause.between("T.A", 6, 7)])
+        assert result.unsatisfiable
+        assert result.forward == () and result.backward == ()

@@ -110,3 +110,65 @@ class TestRuleSet:
     def test_render(self, ruleset):
         text = ruleset.render(isa_style=True)
         assert text.splitlines()[0].startswith("R1:")
+
+
+class TestRuleIndex:
+    DISPLACEMENT = AttributeRef("CLASS", "Displacement")
+    TYPE = AttributeRef("class", "TYPE")
+
+    @pytest.fixture()
+    def ruleset(self):
+        return RuleSet([displacement_rule(), class_rule()])
+
+    def test_index_sees_add_after_lookup(self, ruleset):
+        before = ruleset.index()
+        assert len(ruleset.rules_concluding_on(self.TYPE)) == 2
+        version = ruleset.version
+        ruleset.add(Rule([Clause.between("CLASS.Displacement", 2000, 7000)],
+                         Clause.equals("CLASS.Type", "SSN"), support=5))
+        assert ruleset.version != version
+        assert ruleset.index() is not before
+        assert ruleset.index().version == ruleset.version
+        assert [rule.number for rule in ruleset.rules_with_premise_on(
+            self.DISPLACEMENT)] == [1, 3]
+        assert [rule.number for rule in ruleset.rules_concluding_on(
+            self.TYPE)] == [1, 2, 3]
+        assert ruleset.index() is ruleset.index()  # cached per version
+
+    def test_index_of_filtered(self, ruleset):
+        ruleset.index()
+        kept = ruleset.filtered(lambda rule: rule.support == 3)
+        assert kept.rules_with_premise_on(self.DISPLACEMENT) == []
+        assert [rule.number for rule in kept.rules_concluding_on(
+            self.TYPE)] == [1]
+        assert kept.premise_attributes() == [
+            AttributeRef("CLASS", "Class")]
+
+    def test_index_of_merged(self, ruleset):
+        ruleset.index()
+        merged = ruleset.merged_with(ruleset)
+        assert [rule.number for rule in merged.rules_with_premise_on(
+            self.DISPLACEMENT)] == [1, 3]
+        assert [rule.number for rule in merged.rules_concluding_on(
+            self.TYPE)] == [1, 2, 3, 4]
+        assert merged.references("Class")
+        assert not merged.references("SONAR")
+
+    def test_endpoint_narrowing(self, ruleset):
+        index = ruleset.index()
+        premises = index.premises[self.DISPLACEMENT.key]
+        assert premises.containing(Interval.closed(8000, 9000)) == [0]
+        assert premises.containing(Interval.closed(7000, 9000)) == []
+        assert premises.containing(Interval.at_least(8000)) == []
+        conclusions = index.conclusions[self.TYPE.key]
+        assert conclusions.within(Interval.point("SSBN")) == [0, 1]
+        assert conclusions.within(Interval.point("SSN")) == []
+        assert conclusions.within(Interval.everything()) == [0, 1]
+
+    def test_unordered_endpoints_are_not_narrowed(self):
+        mixed = RuleSet([
+            Rule([Clause.between("T.A", 1, 2)], Clause.equals("T.B", 1)),
+            Rule([Clause.between("T.A", "x", "y")],
+                 Clause.equals("T.B", 2))])
+        postings = mixed.index().premises[("t", "a")]
+        assert postings.containing(Interval.point(1)) == [0, 1]
