@@ -1,16 +1,23 @@
 """E22 (extension) -- streaming batch execution vs the materializing
 interpreted pipeline.
 
-The pre-refactor pipeline is recovered exactly by two switches: the
-``compiled.ENABLED`` flag off (per-row Environment interpretation
-everywhere) and an :data:`UNBOUNDED` batch size (every node
-materializes its whole output as one batch).  The workload is a
+The interpreted, materializing reference pipeline is recovered by two
+switches: the ``compiled.ENABLED`` flag off (per-row Environment
+interpretation everywhere, hash-join keys included) and an
+:data:`UNBOUNDED` batch size (every node materializes its whole output
+as one batch).  The workload is a
 selective scan+join over a 20k-row star schema whose range predicate
 covers far more than :data:`INDEX_FRACTION_THRESHOLD` of the value
 domain, so the planner chooses TableScan+Filter -- the compiled
 predicates, not an index, must provide the win (target >= 2x).  A
 point lookup through the hash index bounds the refactor's overhead on
 queries that were already index-fast (<= 10%).
+
+Two more cases pin the shapes every hospital-scale statement takes, an
+index range scan under the generated row functions: IndexScan ->
+HashJoin -> Project (join keys and a four-item SELECT list), and a
+grouped COUNT/MIN/MAX over an IndexScan (group keys and aggregate
+operands).  Each must beat the interpreted pipeline by >= 2x.
 
 Measurements interleave the two pipelines (best-of-N on alternating
 runs) so background noise hits both equally.  The O(batch) bound on
@@ -44,6 +51,21 @@ SCAN_JOIN_SQL = (
     "AND ENTITY.Size > 150 AND GROUPS.Label = 'G01'")
 POINT_SQL = "SELECT GroupId FROM ENTITY WHERE Id = 1234"
 
+#: Size >= 1500 keeps ~25% of ENTITY -- under the index-fraction
+#: threshold, so the planner probes the sorted index on Size.
+INDEX_JOIN_SQL = (
+    "SELECT ENTITY.Id, ENTITY.Size, GROUPS.Label, GROUPS.Weight "
+    "FROM ENTITY, GROUPS WHERE ENTITY.GroupId = GROUPS.GroupId "
+    "AND ENTITY.Size >= 1500")
+GROUPED_SQL = (
+    "SELECT ENTITY.GroupId, COUNT(*), MIN(ENTITY.Size), MAX(ENTITY.Size) "
+    "FROM ENTITY WHERE ENTITY.Size >= 1000 GROUP BY ENTITY.GroupId")
+
+#: Guarded floor of interpreted / streamed time per case (the point
+#: lookup's floor is its 10% overhead bound).
+MIN_SPEEDUP = {"scan+join": 2.0, "point": 1 / 1.10,
+               "index+join": 2.0, "grouped": 2.0}
+
 _RESULTS: dict[str, tuple[float, float]] = {}
 
 
@@ -69,8 +91,8 @@ def star_db():
     # measurement compares steady-state execution strategies.
     statistics(database).table_stats("ENTITY")
     statistics(database).table_stats("GROUPS")
-    _run_streaming(database, parse_select(SCAN_JOIN_SQL))
-    _run_streaming(database, parse_select(POINT_SQL))
+    for sql in (SCAN_JOIN_SQL, POINT_SQL, INDEX_JOIN_SQL, GROUPED_SQL):
+        _run_streaming(database, parse_select(sql))
     return database
 
 
@@ -153,6 +175,40 @@ def test_point_lookup_overhead_bounded(benchmark, star_db):
         f"vs {pre_s * 1000:.3f}ms materializing")
 
 
+@pytest.mark.parametrize("label, sql, nodes", [
+    ("index+join", INDEX_JOIN_SQL,
+     ["HashJoin", "TableScan GROUPS", "IndexScan ENTITY on Size"]),
+    ("grouped", GROUPED_SQL, ["IndexScan ENTITY on Size"]),
+])
+def test_index_scan_row_functions_speedup(benchmark, star_db, label, sql,
+                                          nodes):
+    """Generated row functions on the IndexScan shapes: >= 2x over the
+    interpreted pipeline, with identical rows."""
+    statement = parse_select(sql)
+    rendered = plan_select(star_db, statement).render()
+    for node in nodes:
+        assert node in rendered, rendered
+    assert "Filter" not in rendered, rendered
+
+    streamed = _run_streaming(star_db, statement)
+    assert list(streamed.rows) == list(
+        _run_materializing(star_db, statement).rows)
+    assert streamed == execute_select_legacy(star_db, statement)
+    assert len(streamed) > 0
+
+    result = benchmark(lambda: _run_streaming(star_db, statement))
+    assert len(result) == len(streamed)
+
+    pre_s, post_s = _interleaved(
+        lambda: _run_materializing(star_db, statement),
+        lambda: _run_streaming(star_db, statement))
+    _RESULTS[label] = (pre_s, post_s)
+    assert pre_s / post_s >= MIN_SPEEDUP[label], (
+        f"expected >=2x from generated row functions, got "
+        f"{pre_s / post_s:.2f}x ({pre_s * 1000:.2f}ms interpreted vs "
+        f"{post_s * 1000:.2f}ms generated)")
+
+
 def test_intermediate_materialization_is_o_batch(star_db):
     """Direct assertion of the memory claim: with morsel size B, no
     plan node ever holds/yields a batch larger than B, and the scan
@@ -185,5 +241,7 @@ def test_intermediate_materialization_is_o_batch(star_db):
         render_table(
             ["query", "interpreted ms", "streamed ms", "speedup"], rows),
         data={label: {"interpreted_s": pre, "streamed_s": post,
-                      "speedup": pre / post}
+                      "speedup": pre / post,
+                      "guard": f">= {MIN_SPEEDUP[label]:.2f}x",
+                      "guard_passed": pre / post >= MIN_SPEEDUP[label]}
               for label, (pre, post) in sorted(_RESULTS.items())})

@@ -35,6 +35,11 @@ POINT_SQL = "SELECT Label FROM ITEM WHERE Value = 1024"
 
 _RESULTS: dict[str, tuple[float, float]] = {}
 
+#: Asserted floor of naive / planner time per case (the point lookup's
+#: floor is its 5x planning-overhead bound; the contradiction case
+#: asserts rows only).
+MIN_SPEEDUP = {"range": 2.0, "point": 1 / 5}
+
 
 @pytest.fixture(scope="module")
 def synth_db():
@@ -134,5 +139,8 @@ def test_contradiction_short_circuit(benchmark, synth_db):
         "E19", f"Planner vs naive executor (ITEM, {N_ROWS} rows)",
         render_table(["query", "planner ms", "naive ms", "speedup"],
                      rows),
-        data={label: {"planner_s": p, "naive_s": l, "speedup": l / p}
+        data={label: {"planner_s": p, "naive_s": l, "speedup": l / p,
+                      **({"guard": f">= {MIN_SPEEDUP[label]:.2f}x",
+                          "guard_passed": l / p >= MIN_SPEEDUP[label]}
+                         if label in MIN_SPEEDUP else {})}
               for label, (p, l) in sorted(_RESULTS.items())})

@@ -44,15 +44,17 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import defaultdict
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
 from repro.plan import parallel
 from repro.relational import columnar, compiled, kernels
+from repro.relational.expressions import ColumnRef
 from repro.relational.relation import Relation
 from repro.rules.clause import Interval
 from repro.sql import ast
-from repro.sql.executor import Scope, project_statement
+from repro.sql.executor import Scope, project_statement, row_function
 
 #: Crossing this estimated-fraction threshold makes a range index scan
 #: not worth it compared to a straight filter over the table scan.
@@ -368,7 +370,7 @@ class TableScanPlan(Plan):
     def _batches(self, size: int) -> Iterator[list[tuple]]:
         rows = list(self.relation.rows)  # stream-start snapshot
         for start in range(0, len(rows), size):
-            yield [(row,) for row in rows[start:start + size]]
+            yield list(zip(rows[start:start + size]))
 
     def label(self) -> str:
         return (f"TableScan {self.relation.name}"
@@ -426,7 +428,7 @@ class IndexScanPlan(Plan):
     def _batches(self, size: int) -> Iterator[list[tuple]]:
         matches = self._matches()
         for start in range(0, len(matches), size):
-            yield [(row,) for row in matches[start:start + size]]
+            yield list(zip(matches[start:start + size]))
 
     def label(self) -> str:
         return (f"IndexScan {self.relation.name} on {self.column} "
@@ -727,32 +729,48 @@ class HashJoinPlan(Plan):
             yield from self._join_fused_build(fused_build, left_keys,
                                               right_keys, size)
             return
-        buckets: dict[tuple, list[tuple]] = {}
+        # Keys are bare values for a single edge, tuples otherwise.
+        key_of = self._key_function(self.right)
+        buckets: dict[Any, list[tuple]] = defaultdict(list)
         for batch in self.right.batches(size):
-            for rows in batch:
-                key = tuple(rows[slot][pos] for slot, pos in right_keys)
-                if any(value is None for value in key):
-                    continue
-                buckets.setdefault(key, []).append(rows)
+            for key, rows in zip(map(key_of, batch), batch):
+                buckets[key].append(rows)
+        # NULL never joins: drop the keys holding one, so no probe key
+        # holding NULL can find a bucket either.
+        if len(self.edges) > 1:
+            for key in [key for key in buckets if None in key]:
+                del buckets[key]
+        else:
+            buckets.pop(None, None)
         if not buckets:
             return  # early termination: the left side is never pulled
         fused = self._fused_probe(left_keys)
         if fused is not None:
             yield from self._probe_columnar(fused, buckets, left_keys, size)
             return
+        key_of = self._key_function(self.left)
         out: list[tuple] = []
         for batch in self.left.batches(size):
-            for rows in batch:
-                key = tuple(rows[slot][pos] for slot, pos in left_keys)
-                if any(value is None for value in key):
+            for key, rows in zip(map(key_of, batch), batch):
+                matches = buckets.get(key)
+                if matches is None:
                     continue
-                for match in buckets.get(key, ()):
-                    out.append(rows + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
+                out.extend([rows + match for match in matches])
+                while len(out) >= size:
+                    yield out[:size]
+                    del out[:size]
         if out:
             yield out
+
+    def _key_function(self, side: Plan):
+        """Generated join-key function over the aligned rows of *side*
+        (the left or the right input): a bare value for one edge, a
+        tuple for several."""
+        offset = 0 if side is self.left else 2
+        refs = [ColumnRef(edge[offset + 1], edge[offset])
+                for edge in self.edges]
+        return row_function(self.scope, side.bindings, refs,
+                            scalar=len(refs) == 1)
 
     def _fused_build(self, right_keys):
         """Resolve the build (right) side through column kernels when it
@@ -843,43 +861,36 @@ class HashJoinPlan(Plan):
         the per-row bucket lookup.  Output order matches the row path
         exactly (left row order, build insertion order per bucket)."""
         store, rows, mask = fused
-        positions = [position for _slot, position in left_keys]
         out: list[tuple] = []
-        if len(positions) == 1:
-            position = positions[0]
-            scalar_buckets = {key[0]: matches
-                              for key, matches in buckets.items()}
-            member = kernels.membership_mask(store, position,
-                                             list(scalar_buckets))
+        if len(left_keys) == 1:
+            position = left_keys[0][1]
+            member = kernels.membership_mask(store, position, list(buckets))
             selection = kernels.to_selection(
                 kernels.combine_and(mask, member))
             column = store.values(position)
             for i in selection:
-                matches = scalar_buckets.get(column[i])
+                matches = buckets.get(column[i])
                 if not matches:
                     continue
                 base = (rows[i],)
-                for match in matches:
-                    out.append(base + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
+                out.extend([base + match for match in matches])
+                while len(out) >= size:
+                    yield out[:size]
+                    del out[:size]
         else:
-            columns = [store.values(position) for position in positions]
+            key_of = self._key_function(self.left)
             selection = kernels.to_selection(mask)
             indexes = (range(len(rows)) if selection is None
                        else selection)
             for i in indexes:
-                key = tuple(column[i] for column in columns)
-                matches = buckets.get(key)
+                base = (rows[i],)
+                matches = buckets.get(key_of(base))
                 if not matches:
                     continue
-                base = (rows[i],)
-                for match in matches:
-                    out.append(base + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
+                out.extend([base + match for match in matches])
+                while len(out) >= size:
+                    yield out[:size]
+                    del out[:size]
         if out:
             yield out
 
@@ -1213,10 +1224,9 @@ class ProjectPlan(Plan):
             from repro.plan import vectorized
             result = vectorized.fast_result(self)
         if result is None:
-            stream = (rows for batch in self.child.batches(batch_size)
-                      for rows in batch)
             result = project_statement(self.scope, self.statement,
-                                       self.child.bindings, stream,
+                                       self.child.bindings,
+                                       self.child.batches(batch_size),
                                        self.result_name)
         end = time.perf_counter()
         self.actual_rows = len(result)

@@ -20,6 +20,21 @@ difference is *when* resolution errors surface: the interpreter raises
 on the first row evaluated, the compiler at compile time (so even over
 an empty relation a predicate naming an unknown column is rejected).
 
+Lists of expressions -- a SELECT list, ORDER BY or GROUP BY keys, an
+aggregate operand, hash-join keys -- compile into *one generated row
+function* (:func:`compile_row`)::
+
+    row_of = compile_row(items, slot_resolver(schemas), environment)
+    out.extend(map(row_of, batch))
+
+Its Python source is generated from the list's *shape* and compiled
+with :func:`compile`: a column reference becomes an inline subscript
+``g[slot][position]``, a literal a bound name, and any other node a call
+of its compiled closure through a bound name.  The source holds only
+integer subscripts and generated names, never user text (literal
+values, column or relation names), and the compiled code is cached by
+shape, so a statement repeated with fresh literals reuses it.
+
 Compilation is structural over the known node types; an unknown
 :class:`Expression` subclass raises :class:`UnsupportedExpression` and
 callers fall back to interpretation, so extensions degrade gracefully
@@ -31,22 +46,29 @@ results.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ExpressionError
 from repro.relational.expressions import (
-    _COMPARISONS, And, Arithmetic, Comparison, ColumnRef, Expression,
-    IsNull, Literal, Not, Or,
+    _COMPARISONS, And, Arithmetic, Comparison, ColumnRef, Environment,
+    Expression, IsNull, Literal, Not, Or,
 )
 from repro.relational.schema import RelationSchema
 
 #: Master switch.  ``False`` makes :func:`compile_predicate` and
-#: :func:`compile_expressions` return their interpreted fallbacks, which
-#: restores the pre-compilation execution pipeline end to end.
+#: :func:`compile_row` return their interpreted fallbacks, so every
+#: expression -- predicates, SELECT lists, keys -- is interpreted.
 ENABLED = True
 
-#: A resolver maps a ColumnRef to a getter closure ``row_like -> value``.
-Resolver = Callable[[ColumnRef], Callable[[Any], Any]]
+#: A resolver maps a ColumnRef to its *access path*: the integer
+#: subscripts that reach the value from a row-like object --
+#: ``(position,)`` for a plain row, ``(slot, position)`` for aligned
+#: per-binding rows.
+Resolver = Callable[[ColumnRef], tuple[int, ...]]
+
+#: Distinct row-function shapes whose compiled code is kept.
+SHAPE_CACHE_SIZE = 512
 
 
 class UnsupportedExpression(Exception):
@@ -66,7 +88,7 @@ def schema_resolver(schema: RelationSchema,
     """
     accepted = {q.lower() for q in qualifiers}
 
-    def resolve(ref: ColumnRef) -> Callable[[Any], Any]:
+    def resolve(ref: ColumnRef) -> tuple[int, ...]:
         if ref.qualifier is not None:
             if ref.qualifier.lower() not in accepted:
                 raise ExpressionError(
@@ -76,8 +98,7 @@ def schema_resolver(schema: RelationSchema,
                     f"{ref.qualifier} has no column {ref.column!r}")
         elif not schema.has_column(ref.column):
             raise ExpressionError(f"unknown column {ref.column!r}")
-        position = schema.position(ref.column)
-        return lambda row: row[position]
+        return (schema.position(ref.column),)
 
     return resolve
 
@@ -91,7 +112,7 @@ def slot_resolver(schemas: Sequence[tuple[str, RelationSchema]]) -> Resolver:
     by_name = {binding.lower(): (slot, schema)
                for slot, (binding, schema) in enumerate(schemas)}
 
-    def resolve(ref: ColumnRef) -> Callable[[Any], Any]:
+    def resolve(ref: ColumnRef) -> tuple[int, ...]:
         if ref.qualifier is not None:
             entry = by_name.get(ref.qualifier.lower())
             if entry is None:
@@ -101,8 +122,7 @@ def slot_resolver(schemas: Sequence[tuple[str, RelationSchema]]) -> Resolver:
             if not schema.has_column(ref.column):
                 raise ExpressionError(
                     f"{ref.qualifier} has no column {ref.column!r}")
-            position = schema.position(ref.column)
-            return lambda rows: rows[slot][position]
+            return slot, schema.position(ref.column)
         hits = [(slot, schema) for slot, (_binding, schema)
                 in enumerate(schemas) if schema.has_column(ref.column)]
         if not hits:
@@ -110,10 +130,111 @@ def slot_resolver(schemas: Sequence[tuple[str, RelationSchema]]) -> Resolver:
         if len(hits) > 1:
             raise ExpressionError(f"ambiguous column {ref.column!r}")
         slot, schema = hits[0]
-        position = schema.position(ref.column)
-        return lambda rows: rows[slot][position]
+        return slot, schema.position(ref.column)
 
     return resolve
+
+
+# -- generated row functions ---------------------------------------------------
+
+#: Shape entries for terms that are not column references: a bound
+#: value (a literal) and a bound closure called on the row.
+_VALUE = "value"
+_CALL = "call"
+
+
+def _access_path(path: Sequence[int]) -> tuple[int, ...]:
+    """*path* as a tuple of plain ints -- the only resolver output that
+    may reach generated source."""
+    path = tuple(path)
+    if not path or any(type(index) is not int for index in path):
+        raise TypeError(f"resolver returned a non-integer access path "
+                        f"{path!r}")
+    return path
+
+
+def _shape(expressions: Sequence[Expression], resolve: Resolver
+           ) -> tuple[tuple, list]:
+    """``(shape, bound)``: one shape entry per expression (an access
+    path, :data:`_VALUE` or :data:`_CALL`) and the values the non-path
+    entries bind, in order.  Resolution errors raise here, at compile
+    time; unknown nodes raise :class:`UnsupportedExpression`."""
+    shape: list = []
+    bound: list = []
+    for expression in expressions:
+        if isinstance(expression, ColumnRef):
+            shape.append(_access_path(resolve(expression)))
+        elif isinstance(expression, Literal):
+            shape.append(_VALUE)
+            bound.append(expression.value)
+        else:
+            shape.append(_CALL)
+            bound.append(compile_expression(expression, resolve))
+    return tuple(shape), bound
+
+
+def _source(shape: tuple, scalar: bool) -> str:
+    """Python source of a factory ``make(*bound) -> row`` for *shape*.
+
+    ``row(g)`` returns the tuple of every term (the bare term when
+    *scalar*).  Only integer subscripts and generated names appear."""
+    params: list[str] = []
+    terms: list[str] = []
+    for entry in shape:
+        if entry == _VALUE or entry == _CALL:
+            name = f"_v{len(params)}"
+            params.append(name)
+            terms.append(name if entry == _VALUE else f"{name}(g)")
+        else:
+            terms.append("g" + "".join(f"[{index}]" for index in entry))
+    if scalar:
+        (value,) = terms
+    else:
+        value = "(" + "".join(term + ", " for term in terms) + ")"
+    return (f"def make({', '.join(params)}):\n"
+            f"    def row(g):\n"
+            f"        return {value}\n"
+            f"    return row\n")
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _factory(shape: tuple, scalar: bool) -> Callable[..., Callable]:
+    namespace: dict[str, Any] = {}
+    exec(compile(_source(shape, scalar), "<row function>", "exec"),
+         namespace)
+    return namespace["make"]
+
+
+def compile_row(expressions: Sequence[Expression], resolve: Resolver,
+                environment: Callable[[Any], Environment], *,
+                scalar: bool = False) -> Callable[[Any], Any]:
+    """One function computing every expression in *expressions* for a
+    row-like object: a tuple of values, or with *scalar* the value of
+    the single expression.
+
+    The function is generated (see :func:`_source`) unless
+    :data:`ENABLED` is off or a node is unsupported; then it interprets
+    every expression against ``environment(row)``, one environment per
+    row.  Resolution errors raise at compile time, as for
+    :func:`compile_expression`.
+    """
+    if ENABLED:
+        try:
+            shape, bound = _shape(expressions, resolve)
+        except UnsupportedExpression:
+            pass
+        else:
+            return _factory(shape, scalar)(*bound)
+    if scalar:
+        (expression,) = expressions
+        return lambda row: expression.evaluate(environment(row))
+    expressions = tuple(expressions)
+
+    def interpreted(row):
+        env = environment(row)
+        return tuple(expression.evaluate(env) for expression in expressions)
+
+    return interpreted
 
 
 def compile_expression(expression: Expression,
@@ -127,7 +248,8 @@ def compile_expression(expression: Expression,
         value = expression.value
         return lambda _row: value
     if isinstance(expression, ColumnRef):
-        return resolve(expression)
+        # A one-term generated row function: the bare subscript.
+        return _factory((_access_path(resolve(expression)),), True)()
     if isinstance(expression, Comparison):
         left = compile_expression(expression.left, resolve)
         right = compile_expression(expression.right, resolve)
@@ -198,29 +320,13 @@ def compile_predicate(expression: Expression, resolve: Resolver,
         return fallback()
 
 
-def compile_expressions(expressions: Sequence[Expression],
-                        resolve: Resolver
-                        ) -> list[Callable[[Any], Any]] | None:
-    """Compile all of *expressions* or none: ``None`` signals the caller
-    to take its interpreted path wholesale (used by the shared
-    projection, where mixing compiled and interpreted items would build
-    the per-row environment anyway)."""
-    if not ENABLED:
-        return None
-    try:
-        return [compile_expression(expression, resolve)
-                for expression in expressions]
-    except UnsupportedExpression:
-        return None
-
-
 __all__ = [
     "ENABLED",
     "Resolver",
     "UnsupportedExpression",
     "compile_expression",
-    "compile_expressions",
     "compile_predicate",
+    "compile_row",
     "schema_resolver",
     "slot_resolver",
 ]

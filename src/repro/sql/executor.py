@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from collections import defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 from repro import obs
@@ -206,7 +207,7 @@ def execute_select_legacy(database: Database, statement: ast.SelectStmt,
     scope = Scope(database, statement.tables)
     combined = _join(scope, statement.where)
     return project_statement(scope, statement, combined.bindings,
-                             combined.rows, result_name)
+                             [combined.rows], result_name)
 
 
 class Scope:
@@ -463,27 +464,35 @@ class _Combined:
 
 
 def project_statement(scope: Scope, statement: ast.SelectStmt,
-                      bindings: Sequence[str], rows: Iterable[tuple],
+                      bindings: Sequence[str],
+                      batches: Iterable[list[tuple]],
                       result_name: str) -> Relation:
     """Evaluate the SELECT list (plain or aggregated), ORDER BY and
-    DISTINCT over joined *rows* (aligned per-binding row tuples).
+    DISTINCT over *batches* of joined rows (lists of aligned
+    per-binding row tuples).
 
-    *rows* may be any single-pass iterable -- in particular the lazy
+    *batches* may be any single-pass iterable -- in particular the lazy
     batch stream of a plan tree -- and is consumed exactly once.
 
     Shared by the legacy executor and the planner's ProjectPlan so both
     paths produce byte-identical relations.
     """
     if statement.has_aggregates() or statement.group_by:
-        return _project_grouped(scope, statement, bindings, rows,
+        return _project_grouped(scope, statement, bindings, batches,
                                 result_name)
-    return _project(scope, statement, bindings, rows, result_name)
+    return _project(scope, statement, bindings, batches, result_name)
 
 
-def _slot_resolver(scope: Scope, bindings: Sequence[str]):
-    return compiled.slot_resolver(
-        [(binding, scope.relations[binding].schema)
-         for binding in bindings])
+def row_function(scope: Scope, bindings: Sequence[str],
+                 expressions: Sequence[Expression], scalar: bool = False):
+    """One generated row function for *expressions* over aligned rows
+    of *bindings* (the interpreted one when compilation is off); shared
+    by the projections below and the planner's hash join keys."""
+    return compiled.compile_row(
+        expressions,
+        compiled.slot_resolver([(binding, scope.relations[binding].schema)
+                                for binding in bindings]),
+        lambda rows: scope.environment(bindings, rows), scalar=scalar)
 
 
 def _projection_items(scope: Scope,
@@ -542,41 +551,24 @@ def _plain_result(scope: Scope, statement: ast.SelectStmt,
 
 
 def _project(scope: Scope, statement: ast.SelectStmt,
-             bindings: Sequence[str], input_rows: Iterable[tuple],
+             bindings: Sequence[str], batches: Iterable[list[tuple]],
              result_name: str) -> Relation:
     items = _projection_items(scope, statement)
     names = _output_names(items)
+    # One row function computes the SELECT list followed by the sort
+    # keys, so each row is read (or, interpreted, bound) once.
+    width = len(items)
+    row_of = row_function(scope, bindings,
+                          [item.expression for item in items]
+                          + list(statement.order_by))
     rows: list[tuple] = []
-    sort_values: list[tuple] = []
-    # Compile the SELECT list and sort keys into positional closures;
-    # all-or-none, since a single interpreted item needs the per-row
-    # environment built anyway.
-    resolve = _slot_resolver(scope, bindings)
-    item_fns = compiled.compile_expressions(
-        [item.expression for item in items], resolve)
-    order_fns = compiled.compile_expressions(
-        list(statement.order_by), resolve)
-    if item_fns is not None and order_fns is not None:
-        for row_group in input_rows:
-            rows.append(tuple(fn(row_group) for fn in item_fns))
-            if order_fns:
-                sort_values.append(tuple(
-                    fn(row_group) for fn in order_fns))
-    else:
-        for row_group in input_rows:
-            env = scope.environment(bindings, row_group)
-            rows.append(tuple(item.expression.evaluate(env)
-                              for item in items))
-            if statement.order_by:
-                sort_values.append(tuple(
-                    key.evaluate(env) for key in statement.order_by))
+    for batch in batches:
+        rows.extend(map(row_of, batch))
 
     if statement.order_by:
-        order = sorted(range(len(rows)),
-                       key=lambda i: tuple(
-                           (v is None, v if v is not None else 0)
-                           for v in sort_values[i]))
-        rows = [rows[i] for i in order]
+        rows.sort(key=lambda row: tuple(
+            (v is None, v if v is not None else 0) for v in row[width:]))
+        rows = [row[:width] for row in rows]
 
     return _plain_result(scope, statement, items, names, rows, result_name)
 
@@ -643,7 +635,7 @@ def _grouped_result(scope: Scope, statement: ast.SelectStmt,
 
 
 def _project_grouped(scope: Scope, statement: ast.SelectStmt,
-                     bindings: Sequence[str], input_rows: Iterable[tuple],
+                     bindings: Sequence[str], batches: Iterable[list[tuple]],
                      result_name: str) -> Relation:
     """Aggregate projection, with optional GROUP BY.
 
@@ -654,42 +646,28 @@ def _project_grouped(scope: Scope, statement: ast.SelectStmt,
     """
     group_exprs = _validate_grouped(scope, statement)
 
-    resolve = _slot_resolver(scope, bindings)
-    groups: dict[tuple, list[tuple]] = {}
-    order: list[tuple] = []
-    group_fns = compiled.compile_expressions(group_exprs, resolve)
-    if group_fns is not None:
-        for row_group in input_rows:
-            key = tuple(fn(row_group) for fn in group_fns)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row_group)
+    # Group members in first-appearance order (dicts keep insertion
+    # order); a single GROUP BY expression keys by its bare value.
+    groups: dict[object, list[tuple]] = defaultdict(list)
+    if group_exprs:
+        key_of = row_function(scope, bindings, group_exprs,
+                              scalar=len(group_exprs) == 1)
+        for batch in batches:
+            for key, row_group in zip(map(key_of, batch), batch):
+                groups[key].append(row_group)
     else:
-        for row_group in input_rows:
-            env = scope.environment(bindings, row_group)
-            key = tuple(e.evaluate(env) for e in group_exprs)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row_group)
-    if not group_exprs and not order:
-        groups[()] = []
-        order.append(())
+        groups[()] = [row_group for batch in batches for row_group in batch]
 
-    # Compile each aggregate operand once (per item, not per member row);
-    # None entries take the interpreted per-member environment path.
-    operand_fns: dict[int, object] = {}
-    for index, item in enumerate(statement.items):
-        if item.is_aggregate() and item.expression.operand is not None:
-            fns = compiled.compile_expressions(
-                [item.expression.operand], resolve)
-            operand_fns[index] = fns[0] if fns else None
+    # One operand function per aggregate item, built once per query.
+    operand_fns = {
+        index: row_function(scope, bindings, [item.expression.operand],
+                            scalar=True)
+        for index, item in enumerate(statement.items)
+        if item.is_aggregate() and item.expression.operand is not None}
 
     names = _output_names(statement.items)
     rows: list[tuple] = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         out: list = []
         representative = members[0] if members else None
         env = (scope.environment(bindings, representative)
@@ -702,21 +680,15 @@ def _project_grouped(scope: Scope, statement: ast.SelectStmt,
             if call.operand is None:
                 out.append(len(members))
                 continue
-            fn = operand_fns.get(index)
-            if fn is not None:
-                values = [fn(row_group) for row_group in members]
-            else:
-                values = [call.operand.evaluate(
-                              scope.environment(bindings, row_group))
-                          for row_group in members]
+            values = list(map(operand_fns[index], members))
             out.append(_fold_sql_aggregate(call, values))
         rows.append(tuple(out))
 
     if statement.order_by:
         def sort_key(pair):
-            key, _row = pair
-            env = (scope.environment(bindings, groups[key][0])
-                   if groups[key] else None)
+            members, _row = pair
+            env = (scope.environment(bindings, members[0])
+                   if members else None)
             values = []
             for expression in statement.order_by:
                 value = expression.evaluate(env) if env else None
@@ -724,8 +696,8 @@ def _project_grouped(scope: Scope, statement: ast.SelectStmt,
                                value if value is not None else 0))
             return tuple(values)
 
-        paired = sorted(zip(order, rows), key=sort_key)
-        rows = [row for _key, row in paired]
+        paired = sorted(zip(groups.values(), rows), key=sort_key)
+        rows = [row for _members, row in paired]
 
     return _grouped_result(scope, statement, names, rows, result_name)
 

@@ -3,13 +3,18 @@ the Environment interpreter: same values, same NULL behavior, same
 error types and messages -- only faster.  Cross-checks run every tree
 through both paths over every row."""
 
+import io
+import re
+import tokenize
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExpressionError
 from repro.relational import INTEGER, REAL, char, compiled
 from repro.relational.compiled import (
-    compile_expression, compile_expressions, compile_predicate,
-    schema_resolver, slot_resolver,
+    compile_expression, compile_predicate, compile_row, schema_resolver,
+    slot_resolver,
 )
 from repro.relational.expressions import (
     And, Arithmetic, ColumnRef, Comparison, Environment, Expression,
@@ -169,17 +174,191 @@ class TestFallbacks:
             schema_resolver(SCHEMA), fallback=lambda: sentinel)
         assert test is sentinel
 
-    def test_compile_expressions_all_or_none(self):
+    def test_compile_row_all_or_none(self):
+        # One unsupported node makes the whole row interpreted: no
+        # environment per item, one per row.
         good = Comparison("=", ColumnRef("Age"), Literal(38))
-        assert compile_expressions([good], schema_resolver(SCHEMA))
-        assert compile_expressions([good, self._Unknown()],
-                                   schema_resolver(SCHEMA)) is None
+        built = []
 
-    def test_compile_expressions_disabled(self, monkeypatch):
+        def environment(row):
+            built.append(row)
+            return Environment.for_row(SCHEMA, row)
+
+        fn = compile_row([good], schema_resolver(SCHEMA), environment)
+        assert fn(ROWS[1]) == (True,) and not built
+        fn = compile_row([good, self._Unknown()], schema_resolver(SCHEMA),
+                         environment)
+        assert fn(ROWS[1]) == (True, 42) and built == [ROWS[1]]
+
+    def test_compile_row_disabled(self, monkeypatch):
         monkeypatch.setattr(compiled, "ENABLED", False)
         good = Comparison("=", ColumnRef("Age"), Literal(38))
-        assert compile_expressions([good],
-                                   schema_resolver(SCHEMA)) is None
+        built = []
+
+        def environment(row):
+            built.append(row)
+            return Environment.for_row(SCHEMA, row)
+
+        fn = compile_row([good], schema_resolver(SCHEMA), environment,
+                         scalar=True)
+        assert fn(ROWS[1]) is True and built == [ROWS[1]]
+
+
+# -- generated row functions ---------------------------------------------------
+
+MGR_SCHEMA = RelationSchema("MGR", [
+    Column("Name", char(12)),
+    Column("Level", INTEGER),
+])
+
+#: Aligned per-binding rows: EMP, DEPT and MGR (``Name`` is ambiguous
+#: unqualified, every other column is not).
+BINDINGS = [("e", SCHEMA), ("d", DEPT_SCHEMA), ("m", MGR_SCHEMA)]
+
+TEXT = st.text(alphabet=list("ab'\"\\\n {}()_gs0"), max_size=6)
+NUMBER = st.one_of(st.integers(-5, 5),
+                   st.sampled_from([0.0, 0.5, -2.25, 3.0]))
+VALUE = st.one_of(st.none(), NUMBER, TEXT)
+
+QUALIFIED = [ColumnRef(column.name, qualifier)
+             for binding, schema in BINDINGS
+             for qualifier in (binding, binding.upper())
+             for column in schema.columns]
+UNQUALIFIED = [ColumnRef(name) for name in
+               ("Age", "Salary", "Dept", "Head", "Level")]
+
+expressions = st.recursive(
+    st.one_of(st.sampled_from(QUALIFIED + UNQUALIFIED),
+              VALUE.map(Literal)),
+    lambda inner: st.one_of(
+        st.builds(Arithmetic, st.sampled_from("+-*/"), inner, inner),
+        st.builds(Comparison, st.sampled_from(["=", "!=", "<", ">="]),
+                  inner, inner),
+        st.builds(IsNull, inner, st.booleans())),
+    max_leaves=4)
+
+aligned_rows = st.tuples(
+    st.tuples(st.one_of(st.none(), TEXT),
+              st.one_of(st.none(), st.integers(-5, 5)),
+              st.one_of(st.none(), st.sampled_from([0.0, 7500.0, 0.5]))),
+    st.tuples(st.one_of(st.none(), TEXT), st.one_of(st.none(), TEXT)),
+    st.tuples(st.one_of(st.none(), TEXT),
+              st.one_of(st.none(), st.integers(-5, 5))))
+
+#: References no binding resolves, each with the interpreter's error.
+BAD_REFS = [ColumnRef("Bogus"), ColumnRef("Age", "x"),
+            ColumnRef("Head", "e"), ColumnRef("Name")]
+
+
+def environment(rows):
+    env = Environment()
+    for (binding, schema), row in zip(BINDINGS, rows):
+        env.bind(binding, schema, row)
+    return env
+
+
+def row_source(items, scalar=False):
+    """The source :func:`compile_row` generates for *items*."""
+    shape, _bound = compiled._shape(items, slot_resolver(BINDINGS))
+    return compiled._source(shape, scalar)
+
+
+def interpreted(expressions_, rows):
+    env = environment(rows)
+    return tuple(expression.evaluate(env) for expression in expressions_)
+
+
+class TestRowFunctions:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(expressions, min_size=1, max_size=4),
+           st.lists(aligned_rows, min_size=1, max_size=5))
+    def test_matches_interpreter(self, items, rows_list):
+        fn = compile_row(items, slot_resolver(BINDINGS), environment)
+        for rows in rows_list:
+            try:
+                expected = interpreted(items, rows)
+            except ExpressionError as error:
+                with pytest.raises(ExpressionError) as caught:
+                    fn(rows)
+                assert str(caught.value) == str(error)
+                continue
+            assert fn(rows) == expected, [e.render() for e in items]
+
+    @settings(max_examples=50, deadline=None)
+    @given(expressions, aligned_rows)
+    def test_scalar_is_the_bare_value(self, expression, rows):
+        fn = compile_row([expression], slot_resolver(BINDINGS),
+                         environment, scalar=True)
+        try:
+            (expected,) = interpreted([expression], rows)
+        except ExpressionError as error:
+            with pytest.raises(ExpressionError, match=re.escape(str(error))):
+                fn(rows)
+            return
+        assert fn(rows) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(expressions, max_size=3), st.sampled_from(BAD_REFS),
+           st.booleans(), st.integers(0, 3), aligned_rows)
+    def test_resolution_errors_raise_at_compile_time(
+            self, items, bad, nested, at, rows):
+        with pytest.raises(ExpressionError) as expected:
+            bad.evaluate(environment(rows))
+        culprit = Arithmetic("+", Literal(1), bad) if nested else bad
+        items = items[:at] + [culprit] + items[at:]
+        # Every other reference resolves, so the bad one is reported
+        # before a single row is seen, with the interpreter's message.
+        with pytest.raises(ExpressionError) as caught:
+            compile_row(items, slot_resolver(BINDINGS), environment)
+        assert str(caught.value) == str(expected.value)
+
+    def test_interpreted_row_raises_on_first_row(self, monkeypatch):
+        monkeypatch.setattr(compiled, "ENABLED", False)
+        fn = compile_row([ColumnRef("Bogus")], slot_resolver(BINDINGS),
+                         environment)
+        with pytest.raises(ExpressionError, match="unknown column"):
+            fn((ROWS[0], ("eng", "alice"), ("al", 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(expressions, max_size=5), st.booleans())
+    def test_source_holds_no_user_text(self, items, scalar):
+        scalar = scalar and len(items) == 1
+        source = row_source(items, scalar)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert re.fullmatch(r"def|return|make|row|g|_v\d+",
+                                    token.string), source
+            elif token.type == tokenize.NUMBER:
+                assert re.fullmatch(r"\d+", token.string), source
+            else:
+                assert token.type in (tokenize.OP, tokenize.NEWLINE,
+                                      tokenize.NL, tokenize.INDENT,
+                                      tokenize.DEDENT,
+                                      tokenize.ENDMARKER), source
+
+    def test_columns_inline_and_literals_bind(self):
+        source = row_source(
+            [ColumnRef("Age", "e"), Literal("x'\n"), ColumnRef("Head"),
+             ColumnRef("Name", "e")])
+        assert "return (g[0][1], _v0, g[1][1], g[0][0], )" in source
+
+    def test_fresh_literals_reuse_compiled_code(self):
+        resolve = slot_resolver(BINDINGS)
+        rows = (ROWS[0], ("eng", "alice"), ("al", 1))
+        compile_row([ColumnRef("Age", "e"), Literal(1),
+                     Comparison(">", ColumnRef("Age"), Literal(3))],
+                    resolve, environment)
+        before = compiled._factory.cache_info()
+        fn = compile_row([ColumnRef("Age", "e"), Literal("fresh"),
+                          Comparison("<", ColumnRef("Age"), Literal(70))],
+                         resolve, environment)
+        assert compiled._factory.cache_info().misses == before.misses
+        assert fn(rows) == (41, "fresh", True)
+
+    def test_access_paths_must_be_integers(self):
+        with pytest.raises(TypeError):
+            compile_row([ColumnRef("Age")], lambda ref: ("0",),
+                        environment)
 
 
 class TestBatchAccessors:
