@@ -114,7 +114,6 @@ def plan_select(database: Database, statement: ast.SelectStmt,
                                 DEFAULT_SELECTIVITY ** len(residual))
         joined = _parallelize(joined)
         root = ProjectPlan(scope, statement, joined, result_name)
-        root.dop = getattr(joined, "dop", 1)
         span.set(notes=len(notes))
         return PlannedQuery(scope, statement, root, notes)
 

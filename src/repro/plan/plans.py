@@ -37,6 +37,13 @@ whole suite at 1, the worst case) and per call via the ``batch_size``
 arguments; :data:`UNBOUNDED` restores the old materialize-everything
 behavior (one batch per node), which the equivalence suite and bench
 E22 use as the reference pipeline.
+
+With the columnar path on, a subtree built from scan+filter chains and
+single-edge hash joins does not stream rows internally at all: it
+resolves to a :class:`Frame` of per-binding row-position vectors in
+the row path's exact output order (:func:`resolve_frame`), which the
+projection gathers columns from, or which the subtree's top node turns
+back into row batches when its parent cannot take a frame.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from collections import defaultdict
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
+from repro.errors import SqlError
 from repro.plan import parallel
 from repro.relational import columnar, compiled, kernels
 from repro.relational.expressions import ColumnRef
@@ -182,51 +190,178 @@ def _columnar_ready() -> bool:
     return compiled.ENABLED and columnar.enabled()
 
 
-def _scan_filter_chain(plan: "Plan"):
-    """``(scan, [filter, ...])`` when *plan* is a TableScan optionally
-    wrapped in FilterPlans (outermost last) -- the shape the fused
-    columnar path can execute -- else ``None``."""
+def _scan_filter_chain(plan: "Plan", index_scan: bool = False):
+    """``(scan, [filter, ...])`` when *plan* is a TableScan -- or, with
+    *index_scan*, an IndexScan -- optionally wrapped in FilterPlans
+    (outermost last), the shape the fused columnar path can execute;
+    else ``None``.  The exchange operators partition whole tables, so
+    they ask for table scans only."""
     filters: list[FilterPlan] = []
     node = plan
     while isinstance(node, FilterPlan):
         filters.append(node)
         node = node.child
-    if not isinstance(node, TableScanPlan):
+    if not isinstance(node, (TableScanPlan, IndexScanPlan) if index_scan
+                      else TableScanPlan):
         return None
     filters.reverse()
     return node, filters
 
 
-def _resolve_columnar(scan: "TableScanPlan", filters: Sequence["FilterPlan"],
-                      *, account_last: bool):
-    """Execute a scan+filter chain as column kernels.
+def _resolve_columnar(scan: "TableScanPlan | IndexScanPlan",
+                      filters: Sequence["FilterPlan"],
+                      *, account_top: bool = True):
+    """Execute a scan+filter chain as a selection vector.
 
-    Returns ``(store, rows, mask)`` where *rows* is the store's aligned
-    row snapshot and *mask* selects the survivors (``None`` = all).
-    Sets the chain nodes' actuals to exactly what the row path would
-    have accumulated on full consumption (*account_last* off leaves the
-    last filter to its own ``_instrumented`` accounting).  Raises
+    Returns ``(store, selection)``: *selection* lists the positions of
+    the chain's output rows in the relation's column store, in the
+    chain's output order -- index order under an IndexScan, storage
+    order under a TableScan (``None`` = every row).  Each filter's mask
+    is evaluated over the current selection only.  Sets every chain
+    node's actuals to exactly what the row path would have accumulated
+    on full consumption (times inclusive of the nodes below); with
+    *account_top* off the outermost node is left to its own
+    ``_instrumented`` accounting.  Raises
     :class:`~repro.relational.kernels.UnsupportedKernel` when any
-    predicate falls outside the compilable subset -- callers fall back
-    to the row path, which re-resolves everything and surfaces exact
-    interpreter semantics.
+    predicate falls outside the compilable subset, or when the index
+    and the store were not built at the relation's current version --
+    callers fall back to the row path, which re-resolves everything and
+    surfaces exact interpreter semantics.
     """
     start = time.perf_counter()
-    store = scan.relation.column_store()
-    rows = store.rows
-    scan.actual_rows = len(rows)
-    scan.actual_time_s = time.perf_counter() - start
-    mask = None
-    last = filters[-1] if filters else None
+    relation = scan.relation
+    store = relation.column_store()
+    if isinstance(scan, IndexScanPlan):
+        index, positions = scan.index_positions()
+        if (index.built_version != relation.version
+                or store.version != relation.version):
+            raise kernels.UnsupportedKernel("index or store is stale")
+        selection = kernels.as_positions(positions)
+        surviving = len(selection)
+    else:
+        selection = None
+        surviving = len(store.rows)
+    top = filters[-1] if filters else scan
+    if account_top or scan is not top:
+        scan.actual_rows = surviving
+        scan.actual_time_s = time.perf_counter() - start
     for node in filters:
-        node_start = time.perf_counter()
-        part = kernels.predicate_mask(store, node.predicates,
-                                      [scan.binding])
-        mask = kernels.combine_and(mask, part)
-        if account_last or node is not last:
-            node.actual_rows = kernels.count(mask, len(rows))
-            node.actual_time_s = time.perf_counter() - node_start
-    return store, rows, mask
+        mask = kernels.predicate_mask(store, node.predicates,
+                                      [scan.binding], selection=selection)
+        selection = kernels.compress(selection, mask)
+        if account_top or node is not top:
+            node.actual_rows = (len(store.rows) if selection is None
+                                else len(selection))
+            node.actual_time_s = time.perf_counter() - start
+    return store, selection
+
+
+class Frame:
+    """A subtree's output as per-binding row-position vectors.
+
+    Output row ``k`` is the tuple of ``stores[i].rows[positions[i][k]]``
+    over ``bindings`` -- the aligned per-binding rows the row path
+    streams, in the same order.  A ``None`` vector stands for every row
+    of the store in storage order (an unfiltered table scan).  Columns
+    are gathered straight from the stores, once per output column,
+    instead of through one joined tuple per row.
+    """
+
+    __slots__ = ("bindings", "stores", "positions", "size")
+
+    def __init__(self, bindings: Sequence[str], stores: Sequence,
+                 positions: Sequence, size: int) -> None:
+        self.bindings = tuple(bindings)
+        self.stores = list(stores)
+        self.positions = list(positions)
+        self.size = size
+
+    def column(self, binding: str, position: int, rows=None) -> list:
+        """The values of one column of *binding*, one per output row --
+        or, given *rows* (output row indices), one per listed row."""
+        if not self.size:
+            return []
+        slot = self.bindings.index(binding)
+        positions = self.positions[slot]
+        if rows is not None:
+            positions = _composed(positions, rows)
+        return self.stores[slot].gather(position, positions)
+
+    def batches(self, size: int) -> Iterator[list[tuple]]:
+        """The output as aligned row-tuple batches of at most *size*."""
+        listed = [positions if positions is None
+                  or isinstance(positions, list) else positions.tolist()
+                  for positions in self.positions]
+        for start in range(0, self.size, size):
+            parts = [store.rows[start:start + size] if positions is None
+                     else list(map(store.rows.__getitem__,
+                                   positions[start:start + size]))
+                     for store, positions in zip(self.stores, listed)]
+            yield list(zip(*parts))
+
+
+def resolve_frame(plan: "Plan") -> Frame | None:
+    """*plan*'s output as a :class:`Frame`, every node's actuals set, or
+    ``None`` when it is not built from scan+filter chains and
+    single-edge serial hash joins or a predicate falls outside the
+    kernel subset (the caller then runs the row path; actuals left by
+    the attempt are cleared)."""
+    try:
+        return _frame(plan, account_top=True)
+    except kernels.UnsupportedKernel:
+        plan.reset_actuals()
+        return None
+
+
+def _frame(plan: "Plan", account_top: bool) -> Frame:
+    if isinstance(plan, HashJoinPlan):
+        if (isinstance(plan, ParallelHashJoinPlan)
+                and min(plan.dop, parallel.workers()) > 1):
+            raise kernels.UnsupportedKernel("parallel hash join")
+        return plan.join_frame(account_top)
+    if isinstance(plan, MergeExchangePlan):
+        return plan.exchange_frame(account_top)
+    chain = _scan_filter_chain(plan, index_scan=True)
+    if chain is None:
+        raise kernels.UnsupportedKernel(type(plan).__name__)
+    scan, filters = chain
+    store, selection = _resolve_columnar(scan, filters,
+                                         account_top=account_top)
+    size = len(store.rows) if selection is None else len(selection)
+    return Frame([scan.binding], [store], [selection], size)
+
+
+def _own_frame(plan: "Plan") -> Frame | None:
+    """*plan*'s output as a :class:`Frame` for its own ``_batches`` when
+    its parent could not consume one (the node's own actuals stay with
+    ``_instrumented``), or ``None`` for the row path.  Declined while a
+    batch observer is installed: it is promised every streamed
+    ``(plan, batch)`` pair, and a frame never streams its inputs."""
+    if not _columnar_ready() or _batch_observer is not None:
+        return None
+    try:
+        # A parallel join only gets here on its serial fallback, so it
+        # resolves like any serial join.
+        frame = (plan.join_frame(account_top=False)
+                 if isinstance(plan, HashJoinPlan)
+                 else _frame(plan, account_top=False))
+    except kernels.UnsupportedKernel:
+        _count_fused(type(plan).__name__, False)
+        for child in plan.children():
+            child.reset_actuals()
+        return None
+    _count_fused(type(plan).__name__, True)
+    return frame
+
+
+def _composed(positions, pairs):
+    """Row positions of a join's output for one input binding: the
+    input's *positions* taken at the join's *pairs* side."""
+    if positions is None:
+        return pairs
+    if isinstance(positions, list):
+        return kernels.gather(positions, pairs)
+    return positions[pairs]
 
 
 def _count_fused(node_type: str, fused: bool) -> None:
@@ -414,21 +549,25 @@ class IndexScanPlan(Plan):
         return min(float(self.stats.distinct_values(column)),
                    max(1.0, self.records_output()))
 
-    def _matches(self) -> list[tuple]:
+    def index_positions(self):
+        """``(index, positions)``: the cached index this scan probes and
+        the positions of its matching rows, in index order."""
         cache = self.scope.database.indexes
         if self.kind == "hash":
             index = cache.hash_index(self.relation, self.column)
-            return index.lookup(self.interval.low)
+            return index, index.positions(self.interval.low)
         index = cache.sorted_index(self.relation, self.column)
-        return list(index.range(
+        return index, index.range_positions(
             self.interval.low, self.interval.high,
             low_inclusive=not self.interval.low_open,
-            high_inclusive=not self.interval.high_open))
+            high_inclusive=not self.interval.high_open)
 
     def _batches(self, size: int) -> Iterator[list[tuple]]:
-        matches = self._matches()
-        for start in range(0, len(matches), size):
-            yield list(zip(matches[start:start + size]))
+        index, positions = self.index_positions()
+        rows = index.rows
+        for start in range(0, len(positions), size):
+            yield list(zip(map(rows.__getitem__,
+                               positions[start:start + size])))
 
     def label(self) -> str:
         return (f"IndexScan {self.relation.name} on {self.column} "
@@ -441,7 +580,9 @@ class FilterPlan(Plan):
     Predicates are compiled once per stream into positional closures
     over the aligned row tuples; rows that survive accumulate into
     output batches of the configured size (a selective filter emits
-    fewer, fuller batches rather than many near-empty ones)."""
+    fewer, fuller batches rather than many near-empty ones).  Topping a
+    kernel-capable scan+filter chain, the chain runs as masks over a
+    selection vector instead (see :class:`Frame`)."""
 
     def __init__(self, child: Plan, predicates: Sequence, selectivity: float):
         super().__init__(child.scope, child.bindings)
@@ -473,35 +614,10 @@ class FilterPlan(Plan):
                     fallback=lambda p=predicate: interpreted(p))
                 for predicate in self.predicates]
 
-    def _fused_selection(self):
-        """``(rows, selection)`` via column kernels when this node tops
-        a kernel-capable scan+filter chain, else ``None`` (row path)."""
-        if not _columnar_ready():
-            return None
-        chain = _scan_filter_chain(self)
-        if chain is None:
-            return None
-        scan, filters = chain
-        try:
-            _store, rows, mask = _resolve_columnar(scan, filters,
-                                                   account_last=False)
-        except kernels.UnsupportedKernel:
-            _count_fused("FilterPlan", False)
-            return None
-        _count_fused("FilterPlan", True)
-        return rows, kernels.to_selection(mask)
-
     def _batches(self, size: int) -> Iterator[list[tuple]]:
-        fused = self._fused_selection()
-        if fused is not None:
-            rows, selection = fused
-            if selection is None:
-                for start in range(0, len(rows), size):
-                    yield [(row,) for row in rows[start:start + size]]
-            else:
-                for start in range(0, len(selection), size):
-                    yield [(rows[i],)
-                           for i in selection[start:start + size]]
+        frame = _own_frame(self)
+        if frame is not None:
+            yield from frame.batches(size)
             return
         tests = self._compiled_predicates()
         if len(tests) == 1:
@@ -599,6 +715,60 @@ class MergeExchangePlan(Plan):
             if close is not None:
                 close()
 
+    def exchange_frame(self, account_top: bool) -> Frame:
+        """The pipeline as a :class:`Frame` (see :func:`resolve_frame`):
+        when the re-clamped degree grants workers, the chain's mask is
+        evaluated morsel-parallel and the partial selections merge back
+        in morsel order, so the vector is ascending exactly like the
+        serial one (chain-internal actuals as in :meth:`_batches`);
+        otherwise the chain resolves serially."""
+        start = time.perf_counter()
+        self.worker_actuals = []
+        dop = min(self.dop, parallel.workers())
+        chain = _scan_filter_chain(self.child)
+        if chain is None:
+            raise kernels.UnsupportedKernel("exchange over a non-chain")
+        scan, filters = chain
+        store = scan.relation.column_store()
+        total_rows = len(store.rows)
+        morsel_rows = parallel.MORSEL_ROWS
+        predicates = [predicate for node in filters
+                      for predicate in node.predicates]
+        if dop <= 1 or total_rows < 2 * morsel_rows or not predicates:
+            frame = _frame(self.child, True)
+        else:
+            binding = [scan.binding]
+            kernels.predicate_mask(store, predicates, binding, 0, 0)
+            scan.actual_rows = total_rows
+            scan.actual_time_s = time.perf_counter() - start
+
+            def morsel(seq: int):
+                lo = seq * morsel_rows
+                hi = min(total_rows, lo + morsel_rows)
+                mask = kernels.predicate_mask(store, predicates, binding,
+                                              lo, hi)
+                return lo, hi, kernels.to_selection(mask)
+
+            selection: list[int] = []
+            for lo, hi, part in parallel.run_ordered(
+                    (total_rows + morsel_rows - 1) // morsel_rows, dop,
+                    morsel, deadline=getattr(_statement_deadline, "at",
+                                             None),
+                    label="MergeExchange",
+                    worker_stats=self.worker_actuals):
+                if part is None:
+                    selection.extend(range(lo, hi))
+                else:
+                    selection.extend(lo + i for i in part)
+            frame = Frame([scan.binding], [store],
+                          [None if len(selection) == total_rows
+                           else kernels.as_positions(selection)],
+                          len(selection))
+        if account_top:
+            self.actual_rows = frame.size
+            self.actual_time_s = time.perf_counter() - start
+        return frame
+
     def _columnar_morsels(self, scan: "TableScanPlan",
                           filters: Sequence["FilterPlan"], dop: int,
                           deadline: float | None) -> Iterator[list[tuple]]:
@@ -680,6 +850,8 @@ class HashJoinPlan(Plan):
     streams: each left batch is probed as it arrives, matches accumulate
     into output batches of at most the configured size, and an empty
     build side terminates the join without pulling a single left batch.
+    A single-edge join over inputs that resolve to frames runs as
+    :meth:`join_frame` instead, with the same order and actuals.
     """
 
     def __init__(self, left: Plan, right: Plan,
@@ -722,12 +894,58 @@ class HashJoinPlan(Plan):
             right_keys.append((right_slot, right_pos))
         return left_keys, right_keys
 
+    def join_frame(self, account_top: bool) -> Frame:
+        """This join as a :class:`Frame` (see :func:`resolve_frame`).
+
+        Both inputs resolve recursively, the build (right) side first;
+        :func:`~repro.relational.kernels.join_pairs` then aligns their
+        rows in the row path's exact output order, and each binding's
+        position vector is composed through the pairs.  As on the row
+        path, a build side without a non-NULL key ends the join without
+        touching the left input.  Raises
+        :class:`~repro.relational.kernels.UnsupportedKernel` for
+        multi-edge joins and inputs that do not resolve.
+        """
+        if len(self.edges) != 1:
+            raise kernels.UnsupportedKernel("multi-edge join")
+        start = time.perf_counter()
+        (left_bind, left_col, right_bind, right_col), = self.edges
+        right = _frame(self.right, True)
+        frame = Frame(self.bindings, [None] * len(self.bindings),
+                      [None] * len(self.bindings), 0)
+        if right.size:
+            right_slot = right.bindings.index(right_bind)
+            right_store = right.stores[right_slot]
+            right_position = right_store.schema.position(right_col)
+            right_selection = right.positions[right_slot]
+            present = kernels.count(
+                kernels.notnull_mask(right_store, right_position,
+                                     selection=right_selection),
+                right.size)
+            left = _frame(self.left, True) if present else None
+            if left is not None and left.size:
+                left_slot = left.bindings.index(left_bind)
+                left_store = left.stores[left_slot]
+                pairs = kernels.join_pairs(
+                    left_store, left_store.schema.position(left_col),
+                    left.positions[left_slot], right_store,
+                    right_position, right_selection)
+                frame = Frame(
+                    self.bindings, left.stores + right.stores,
+                    [_composed(positions, pairs[0])
+                     for positions in left.positions]
+                    + [_composed(positions, pairs[1])
+                       for positions in right.positions],
+                    len(pairs[0]))
+        if account_top:
+            self.actual_rows = frame.size
+            self.actual_time_s = time.perf_counter() - start
+        return frame
+
     def _batches(self, size: int) -> Iterator[list[tuple]]:
-        left_keys, right_keys = self._key_positions()
-        fused_build = self._fused_build(right_keys)
-        if fused_build is not None:
-            yield from self._join_fused_build(fused_build, left_keys,
-                                              right_keys, size)
+        frame = _own_frame(self)
+        if frame is not None:
+            yield from frame.batches(size)
             return
         # Keys are bare values for a single edge, tuples otherwise.
         key_of = self._key_function(self.right)
@@ -744,10 +962,6 @@ class HashJoinPlan(Plan):
             buckets.pop(None, None)
         if not buckets:
             return  # early termination: the left side is never pulled
-        fused = self._fused_probe(left_keys)
-        if fused is not None:
-            yield from self._probe_columnar(fused, buckets, left_keys, size)
-            return
         key_of = self._key_function(self.left)
         out: list[tuple] = []
         for batch in self.left.batches(size):
@@ -771,128 +985,6 @@ class HashJoinPlan(Plan):
                 for edge in self.edges]
         return row_function(self.scope, side.bindings, refs,
                             scalar=len(refs) == 1)
-
-    def _fused_build(self, right_keys):
-        """Resolve the build (right) side through column kernels when it
-        is a kernel-capable scan+filter chain over a single join key;
-        ``None`` = build buckets from streamed right batches."""
-        if not _columnar_ready() or len(self.edges) != 1:
-            return None
-        chain = _scan_filter_chain(self.right)
-        if chain is None:
-            return None
-        scan, filters = chain
-        try:
-            store, rows, mask = _resolve_columnar(scan, filters,
-                                                  account_last=True)
-            notnull = kernels.notnull_mask(store, right_keys[0][1])
-        except kernels.UnsupportedKernel:
-            _count_fused("HashJoinPlan", False)
-            return None
-        _count_fused("HashJoinPlan", True)
-        # NULL join keys never enter buckets, so fold their exclusion
-        # into the build mask up front.
-        return store, rows, kernels.combine_and(mask, notnull)
-
-    def _join_fused_build(self, fused, left_keys, right_keys,
-                          size: int) -> Iterator[list[tuple]]:
-        """Join with a columnar build side: the probe keys are collected
-        first and pushed into the build side as a vectorized membership
-        prefilter (a semi-join), so only build rows that can match at
-        all pay the per-row bucket insert.  Output order matches the row
-        path exactly (left row order, build ascending order per bucket).
-        """
-        store, rows, mask = fused
-        if kernels.count(mask, len(rows)) == 0:
-            return  # early termination: the left side is never pulled
-        slot, left_position = left_keys[0]
-        left_rows = [joined for batch in self.left.batches(size)
-                     for joined in batch]
-        probe_keys = {joined[slot][left_position] for joined in left_rows}
-        probe_keys.discard(None)
-        position = right_keys[0][1]
-        buckets: dict[Any, list[tuple]] = {}
-        if probe_keys:
-            member = kernels.membership_mask(store, position,
-                                             list(probe_keys))
-            selection = kernels.to_selection(
-                kernels.combine_and(mask, member))
-            column = store.values(position)
-            if selection is None:
-                selection = range(len(rows))
-            for i in selection:
-                buckets.setdefault(column[i], []).append((rows[i],))
-        out: list[tuple] = []
-        for joined in left_rows:
-            key = joined[slot][left_position]
-            if key is None:
-                continue
-            for match in buckets.get(key, ()):
-                out.append(joined + match)
-                if len(out) >= size:
-                    yield out
-                    out = []
-        if out:
-            yield out
-
-    def _fused_probe(self, left_keys):
-        """Resolve the probe (left) side through column kernels when it
-        is a kernel-capable scan+filter chain; ``None`` = stream it."""
-        if not _columnar_ready():
-            return None
-        chain = _scan_filter_chain(self.left)
-        if chain is None:
-            return None
-        scan, filters = chain
-        try:
-            store, rows, mask = _resolve_columnar(scan, filters,
-                                                  account_last=True)
-        except kernels.UnsupportedKernel:
-            _count_fused("HashJoinPlan", False)
-            return None
-        _count_fused("HashJoinPlan", True)
-        return store, rows, mask
-
-    def _probe_columnar(self, fused, buckets, left_keys,
-                        size: int) -> Iterator[list[tuple]]:
-        """Probe *buckets* with the fused left side: a vectorized
-        membership prefilter shrinks the selection to rows whose key
-        occurs on the build side at all, then only those few rows pay
-        the per-row bucket lookup.  Output order matches the row path
-        exactly (left row order, build insertion order per bucket)."""
-        store, rows, mask = fused
-        out: list[tuple] = []
-        if len(left_keys) == 1:
-            position = left_keys[0][1]
-            member = kernels.membership_mask(store, position, list(buckets))
-            selection = kernels.to_selection(
-                kernels.combine_and(mask, member))
-            column = store.values(position)
-            for i in selection:
-                matches = buckets.get(column[i])
-                if not matches:
-                    continue
-                base = (rows[i],)
-                out.extend([base + match for match in matches])
-                while len(out) >= size:
-                    yield out[:size]
-                    del out[:size]
-        else:
-            key_of = self._key_function(self.left)
-            selection = kernels.to_selection(mask)
-            indexes = (range(len(rows)) if selection is None
-                       else selection)
-            for i in indexes:
-                base = (rows[i],)
-                matches = buckets.get(key_of(base))
-                if not matches:
-                    continue
-                out.extend([base + match for match in matches])
-                while len(out) >= size:
-                    yield out[:size]
-                    del out[:size]
-        if out:
-            yield out
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
@@ -1201,13 +1293,25 @@ class ProjectPlan(Plan):
         self.statement = statement
         self.child = child
         self.result_name = result_name
-        #: Degree of parallelism granted by the planner for partial->
-        #: final aggregation (1 = serial; only aggregate fast paths in
-        #: :mod:`repro.plan.vectorized` consult it).
-        self.dop = 1
 
     def records_output(self) -> float:
-        return self.child.records_output()
+        """The child's rows for a plain SELECT; for GROUP BY the product
+        of the group columns' distinct values, capped at the child's
+        rows; one row for a global aggregate."""
+        rows = self.child.records_output()
+        statement = self.statement
+        if not statement.group_by:
+            return 1.0 if statement.has_aggregates() else rows
+        groups = 1.0
+        for expression in statement.group_by:
+            if not isinstance(expression, ColumnRef):
+                return rows
+            try:
+                binding = self.scope.resolve(expression)
+            except SqlError:
+                return rows
+            groups *= self.child.distinct_values(binding, expression.column)
+        return min(rows, groups)
 
     def cost(self) -> float:
         return self.child.cost() + self.child.records_output()
@@ -1217,7 +1321,6 @@ class ProjectPlan(Plan):
 
     def execute_relation(self, batch_size: int | None = None) -> Relation:
         self.reset_actuals()
-        self.worker_actuals: list[dict] = []
         start = time.perf_counter()
         result = None
         if _columnar_ready():

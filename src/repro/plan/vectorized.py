@@ -1,44 +1,46 @@
-"""Vectorized output materialization and COUNT/GROUP BY fast paths.
+"""Vectorized projection and COUNT/MIN/MAX aggregation over frames.
 
 The fused columnar kernels made predicate evaluation cheap; profiling
-(ROADMAP) then showed ~64% of a fused scan's time going to the
-per-output-row compiled projection closures.  This module removes that
-tail for the common shapes:
+(ROADMAP) then showed the time going to the per-output-row projection
+closures and to the per-member loops of GROUP BY.  This module removes
+that tail for the common shapes.  The plan under the projection is
+resolved to a :class:`~repro.plan.plans.Frame` -- one row-position
+vector per FROM binding, in the row path's exact output order (index
+order under an IndexScan, storage order under a TableScan, probe then
+build order through single-edge hash joins) -- and:
 
 * :func:`fast_project` -- when every SELECT item (and every ORDER BY
-  key) is a plain column reference over a single scan(+filter) chain,
-  survivors are gathered *column-at-a-time* from the
-  :class:`~repro.relational.columnar.ColumnStore` and transposed with
-  one ``zip`` instead of calling one closure per item per row.
-* :func:`fast_aggregate` -- COUNT(*) / COUNT(col) and GROUP BY over a
-  dictionary-encoded column reduce directly over dictionary codes:
-  ``numpy.bincount`` over the code array on the numpy path, an array
-  tally on the pure-Python path, never a per-group member list.
-
-Both paths parallelize as partial -> final aggregation when the
-planner granted the pipeline a degree of parallelism (the child is a
-:class:`~repro.plan.plans.MergeExchangePlan`): workers produce
-per-morsel partials (selections, code tallies) through
-:func:`repro.plan.parallel.run_ordered`, and the consumer merges them
-in morsel order -- counts add, group order is first appearance in
-sequence order -- so results are byte-identical to serial execution.
+  key) is a plain column reference, each output column is gathered
+  *once* from its binding's
+  :class:`~repro.relational.columnar.ColumnStore` and the columns are
+  transposed with one ``zip`` instead of building a joined tuple and
+  calling a closure per row.
+* :func:`fast_aggregate` -- COUNT(*), COUNT(col), and MIN/MAX over
+  null-free numeric columns, globally or grouped by one column of any
+  binding.  Group ids are dictionary codes (or a sorted unique table,
+  or one dict pass) renumbered to first-appearance order -- the row
+  path's group order -- and each group's MIN/MAX is Python's own
+  ``min``/``max`` over its slice of one stable sort, so values and
+  their types are exactly the row path's.  SUM and AVG (numpy's
+  pairwise float sum would not reproduce the row path's left-to-right
+  sum), string and NULL-bearing MIN/MAX, DISTINCT aggregates and
+  grouped ORDER BY fall back.
 
 Exact-semantics gating mirrors the kernels: a fast path engages only
 when it provably reproduces the row path -- validation runs through
 the *same* executor helpers (:func:`~repro.sql.executor.
-_projection_items`, ``_validate_grouped``), predicates pre-flight
-through :func:`~repro.relational.kernels.predicate_mask`, and any
-unsupported shape returns ``None`` so the caller falls back to the
-row-path projection, which reproduces interpreter behavior exactly.
+_projection_items`, ``_validate_grouped``), the frame resolves only
+when every predicate compiles to a total kernel, and any unsupported
+shape returns ``None`` so the caller falls back to the row-path
+projection, which reproduces interpreter behavior exactly.  Frame
+resolution sets every plan node's actuals to what the row path
+reports, so EXPLAIN ANALYZE reads the same on both paths.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
-
 from repro import obs
-from repro.plan import parallel, plans
+from repro.plan import plans
 from repro.relational import columnar, kernels
 from repro.relational.expressions import ColumnRef
 from repro.sql import executor as _executor
@@ -70,41 +72,10 @@ def fast_result(project):
     return result
 
 
-def _chain_of(project):
-    """``(scan, filters, dop)`` when the plan under *project* is a
-    scan(+filter) chain, optionally behind a merge exchange whose
-    degree carries over; ``None`` otherwise."""
-    child = project.child
-    dop = 1
-    if isinstance(child, plans.MergeExchangePlan):
-        dop = min(child.dop, parallel.workers())
-        chain = plans._scan_filter_chain(child.child)
-    else:
-        chain = plans._scan_filter_chain(child)
-    if chain is None:
-        return None
-    scan, filters = chain
-    return scan, filters, dop
-
-
-def _prepare_chain(scan, filters):
-    """``(store, predicates, binding)`` with the kernel pre-flight done
-    (raises :class:`~repro.relational.kernels.UnsupportedKernel` on the
-    consumer thread for shapes the kernels cannot fuse) and the scan's
-    actuals set to its full snapshot."""
-    start = time.perf_counter()
-    store = scan.relation.column_store()
-    predicates = [predicate for node in filters
-                  for predicate in node.predicates]
-    binding = [scan.binding]
-    kernels.predicate_mask(store, predicates, binding, 0, 0)
-    scan.actual_rows = len(store.rows)
-    scan.actual_time_s = time.perf_counter() - start
-    return store, predicates, binding
-
-
-def _deadline():
-    return getattr(plans._statement_deadline, "at", None)
+def _located(scope, ref: ColumnRef) -> tuple[str, int]:
+    """``(binding, column position)`` of a validated column reference."""
+    binding = scope.resolve(ref)
+    return binding, scope.relations[binding].schema.position(ref.column)
 
 
 # -- vectorized projection ---------------------------------------------------
@@ -115,33 +86,22 @@ def fast_project(project):
     if statement.order_by and not all(
             isinstance(key, ColumnRef) for key in statement.order_by):
         return None
-    resolved = _chain_of(project)
-    if resolved is None:
-        return None
-    scan, filters, dop = resolved
     scope = project.scope
     # Same expansion + validation as the row path, so unknown columns
     # and ambiguities raise the identical SqlError at the same point.
     items = _executor._projection_items(scope, statement)
     if not all(isinstance(item.expression, ColumnRef) for item in items):
         return None
-    try:
-        store, predicates, binding = _prepare_chain(scan, filters)
-    except kernels.UnsupportedKernel:
+    frame = plans.resolve_frame(project.child)
+    if frame is None:
         return None
-    selection = _chain_selection(store, predicates, binding, dop, project)
-    schema = scan.relation.schema
-    positions = [schema.position(item.expression.column) for item in items]
-    columns = [_gathered(store, position, selection)
-               for position in positions]
-    rows = list(zip(*columns)) if columns else []
-    survivors = len(rows)
-    project.child.actual_rows = survivors
+    columns = [frame.column(*_located(scope, item.expression))
+               for item in items]
+    rows = list(zip(*columns))
     if statement.order_by:
-        sort_columns = [
-            _gathered(store, schema.position(key.column), selection)
-            for key in statement.order_by]
-        order = sorted(range(survivors),
+        sort_columns = [frame.column(*_located(scope, key))
+                        for key in statement.order_by]
+        order = sorted(range(len(rows)),
                        key=lambda i: tuple(
                            (column[i] is None,
                             column[i] if column[i] is not None else 0)
@@ -152,251 +112,175 @@ def fast_project(project):
                                    project.result_name)
 
 
-def _gathered(store, position: int, selection) -> list:
-    values = store.values(position)
-    if selection is None:
-        return list(values)
-    return [values[i] for i in selection]
-
-
-def _chain_selection(store, predicates, binding, dop: int, project):
-    """Global selection vector of surviving row indices (``None`` =
-    every row), with the mask evaluated morsel-parallel when *dop*
-    grants workers (partial selections merge back in morsel order, so
-    the vector is ascending exactly like the serial one)."""
-    if not predicates:
-        return None
-    total_rows = len(store.rows)
-    morsel_rows = parallel.MORSEL_ROWS
-    if dop <= 1 or total_rows < 2 * morsel_rows:
-        mask = kernels.predicate_mask(store, predicates, binding)
-        return kernels.to_selection(mask)
-    total = (total_rows + morsel_rows - 1) // morsel_rows
-
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = kernels.predicate_mask(store, predicates, binding, lo, hi)
-        return lo, hi, kernels.to_selection(mask)
-
-    selection: list[int] = []
-    for lo, hi, part in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="MergeExchange", worker_stats=project.worker_actuals):
-        if part is None:
-            selection.extend(range(lo, hi))
-        else:
-            selection.extend(lo + i for i in part)
-    if len(selection) == total_rows:
-        return None
-    return selection
-
-
-# -- COUNT / GROUP BY over dictionary codes ----------------------------------
+# -- COUNT / MIN / MAX, globally or grouped ----------------------------------
 
 
 def fast_aggregate(project):
     statement = project.statement
     if statement.order_by:
         return None
-    resolved = _chain_of(project)
-    if resolved is None:
-        return None
-    scan, filters, dop = resolved
     scope = project.scope
     # Same up-front validation as the row path (star/aggregate mixing,
     # GROUP BY membership, reference resolution).
     group_exprs = _executor._validate_grouped(scope, statement)
-    if len(group_exprs) > 1:
+    if len(group_exprs) > 1 or not all(
+            isinstance(expression, ColumnRef) for expression in group_exprs):
         return None
-    schema = scan.relation.schema
-    specs: list[tuple[str, int | None]] = []
+    specs: list[tuple[str, tuple[str, int] | None]] = []
     for item in statement.items:
-        expression = item.expression
-        if item.is_aggregate():
-            call: AggregateCall = expression
-            if call.op != "count" or call.distinct:
-                return None
-            if call.operand is None:
-                specs.append(("count_star", None))
-            elif isinstance(call.operand, ColumnRef):
-                specs.append(("count", schema.position(call.operand.column)))
-            else:
-                return None
-        else:
-            if not isinstance(expression, ColumnRef):
-                return None
+        if not item.is_aggregate():
+            # _validate_grouped proved the item *is* the group key.
             specs.append(("key", None))
-    try:
-        store, predicates, binding = _prepare_chain(scan, filters)
-    except kernels.UnsupportedKernel:
+            continue
+        call: AggregateCall = item.expression
+        if call.distinct or call.op not in ("count", "min", "max"):
+            return None
+        if call.operand is None:
+            specs.append(("count", None))
+            continue
+        if not isinstance(call.operand, ColumnRef):
+            return None
+        located = _located(scope, call.operand)
+        if call.op != "count" and not _null_free_numeric(scope, *located):
+            return None
+        specs.append((call.op, located))
+    frame = plans.resolve_frame(project.child)
+    if frame is None:
         return None
-    agg_positions = sorted({position for kind, position in specs
-                            if kind == "count"})
     if group_exprs:
-        group = group_exprs[0]
-        if not isinstance(group, ColumnRef):
-            return None
-        group_position = schema.position(group.column)
-        column = store.columns[group_position]
-        if not isinstance(column, columnar.DictionaryColumn):
-            return None
-        rows = _grouped_counts(store, predicates, binding, column,
-                               agg_positions, specs, dop, project)
+        group_ids, keys = _group_ids(frame, *_located(scope, group_exprs[0]))
     else:
-        rows = _global_counts(store, predicates, binding, agg_positions,
-                              specs, dop, project)
-    project.child.actual_rows = len(rows)
+        # One global group, present even over an empty input.
+        group_ids, keys = _zeros(frame.size), [None]
+    rows = _aggregate_rows(frame, specs, group_ids, keys)
     names = _executor._output_names(statement.items)
     return _executor._grouped_result(scope, statement, names, rows,
                                      project.result_name)
 
 
-def _morsel_layout(total_rows: int):
-    morsel_rows = parallel.MORSEL_ROWS
-    return morsel_rows, (total_rows + morsel_rows - 1) // morsel_rows
+def _null_free_numeric(scope, binding: str, position: int) -> bool:
+    """Whether MIN/MAX over this column may take the fast path."""
+    column = scope.relations[binding].column_store().columns[position]
+    if not (isinstance(column, columnar.PlainColumn)
+            and column.datatype.is_numeric()):
+        return False
+    if columnar.numpy_module() is None:
+        return None not in column.values
+    return column.array() is not None  # a built array proves no NULLs
 
 
-def _global_counts(store, predicates, binding, agg_positions, specs,
-                   dop: int, project) -> list[tuple]:
-    """One output row of global COUNTs, reduced as partial -> final
-    sums over morsel ranges."""
-    total_rows = len(store.rows)
-    morsel_rows, total = _morsel_layout(total_rows)
-
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = (kernels.predicate_mask(store, predicates, binding, lo, hi)
-                if predicates else None)
-        size = kernels.count(mask, hi - lo)
-        notnull = {}
-        for position in agg_positions:
-            part = kernels.notnull_mask(store, position, lo, hi)
-            notnull[position] = kernels.count(
-                kernels.combine_and(mask, part), hi - lo)
-        return size, notnull
-
-    total_count = 0
-    notnull_totals = {position: 0 for position in agg_positions}
-    for size, notnull in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="PartialAggregate", worker_stats=project.worker_actuals):
-        total_count += size
-        for position in agg_positions:
-            notnull_totals[position] += notnull[position]
-    row = tuple(total_count if kind == "count_star"
-                else notnull_totals[position]
-                for kind, position in specs)
-    return [row]
-
-
-def _grouped_counts(store, predicates, binding, column, agg_positions,
-                    specs, dop: int, project) -> list[tuple]:
-    """GROUP BY over a dictionary column, reduced over codes: each
-    morsel produces ``(codes in first-appearance order, count per code,
-    non-null count per code per COUNT column)``; the final merge adds
-    tallies and keeps first-appearance order across morsels, exactly
-    the serial group order.  Tallies are indexed by ``code + 1`` so the
-    NULL code (-1) lands in slot 0."""
-    total_rows = len(store.rows)
-    morsel_rows, total = _morsel_layout(total_rows)
-    cardinality = len(column.values)
+def _zeros(size: int):
     np = columnar.numpy_module()
-    np_codes = column.np_codes() if np is not None else None
-    codes = column.codes
-    plain_values = {position: store.values(position)
-                    for position in agg_positions}
+    return [0] * size if np is None else np.zeros(size, dtype=np.intp)
 
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = (kernels.predicate_mask(store, predicates, binding, lo, hi)
-                if predicates else None)
-        if np is not None:
-            span_codes = np_codes[lo:hi]
-            sel_codes = span_codes if mask is None else span_codes[mask]
-            counts = np.bincount(sel_codes + 1,
-                                 minlength=cardinality + 1)
-            uniq, first = np.unique(sel_codes, return_index=True)
-            code_order = [int(code) for code in uniq[np.argsort(first)]]
-            notnull = {}
-            for position in agg_positions:
-                part = kernels.notnull_mask(store, position, lo, hi)
-                if part is None:
-                    notnull[position] = None  # == counts for this morsel
-                else:
-                    sel_part = part if mask is None else part[mask]
-                    notnull[position] = np.bincount(
-                        sel_codes + 1, weights=sel_part,
-                        minlength=cardinality + 1)
-            return code_order, counts, notnull
-        selection = kernels.to_selection(mask)
-        indices = (range(lo, hi) if selection is None
-                   else [lo + i for i in selection])
-        counts = [0] * (cardinality + 1)
-        code_order: list[int] = []
-        seen: set[int] = set()
-        notnull = {position: [0] * (cardinality + 1)
-                   for position in agg_positions}
-        for i in indices:
-            code = codes[i]
-            slot = code + 1
-            if code not in seen:
-                seen.add(code)
-                code_order.append(code)
-            counts[slot] += 1
-            for position in agg_positions:
-                if plain_values[position][i] is not None:
-                    notnull[position][slot] += 1
-        return code_order, counts, notnull
 
-    order_codes: list[int] = []
-    seen: set[int] = set()
+def _group_ids(frame, binding: str, position: int):
+    """``(group id per frame row, key per group)``: ids number groups
+    in first-appearance order, and a key is its first member's value
+    (what the row path evaluates the group expression on)."""
+    np = columnar.numpy_module()
+    if not frame.size:
+        return _zeros(0), []
+    slot = frame.bindings.index(binding)
+    store, positions = frame.stores[slot], frame.positions[slot]
+    column = store.columns[position]
+    codes = None
     if np is not None:
-        count_totals = np.zeros(cardinality + 1, dtype=np.int64)
-        notnull_totals = {position: np.zeros(cardinality + 1)
-                          for position in agg_positions}
-    else:
-        count_totals = [0] * (cardinality + 1)
-        notnull_totals = {position: [0] * (cardinality + 1)
-                          for position in agg_positions}
-    for code_order, counts, notnull in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="PartialAggregate", worker_stats=project.worker_actuals):
-        for code in code_order:
-            if code not in seen:
-                seen.add(code)
-                order_codes.append(code)
-        if np is not None:
-            count_totals += counts
-            for position in agg_positions:
-                notnull_totals[position] += (
-                    counts if notnull[position] is None
-                    else notnull[position])
-        else:
-            for slot, value in enumerate(counts):
-                count_totals[slot] += value
-            for position in agg_positions:
-                tally = notnull[position]
-                for slot, value in enumerate(tally):
-                    notnull_totals[position][slot] += value
+        if isinstance(column, columnar.DictionaryColumn):
+            codes = column.np_codes()
+        elif isinstance(column, columnar.PlainColumn):
+            array = column.array()
+            if array is not None and not (array.dtype.kind == "f"
+                                          and np.isnan(array).any()):
+                codes = array
+    if codes is None:
+        # One dict pass: Python key equality, first-appearance ids, and
+        # the dict keeps each group's first key object.
+        id_of: dict = {}
+        ids = [id_of.setdefault(value, len(id_of))
+               for value in frame.column(binding, position)]
+        return (ids if np is None else np.asarray(ids, dtype=np.intp),
+                list(id_of))
+    if positions is not None:
+        codes = codes[kernels.as_positions(positions)]
+    _unique, first, inverse = np.unique(codes, return_index=True,
+                                        return_inverse=True)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[appearance] = np.arange(len(first))
+    representatives = first[appearance]
+    keys = store.gather(position, representatives if positions is None
+                        else positions[representatives])
+    return rank[inverse.reshape(-1)], keys
 
-    values_table = column.values
-    rows: list[tuple] = []
-    for code in order_codes:
-        key = None if code < 0 else values_table[code]
-        slot = code + 1
-        out = []
-        for kind, position in specs:
-            if kind == "key":
-                out.append(key)
-            elif kind == "count_star":
-                out.append(int(count_totals[slot]))
-            else:
-                out.append(int(notnull_totals[position][slot]))
-        rows.append(tuple(out))
-    return rows
+
+def _aggregate_rows(frame, specs, group_ids, keys) -> list[tuple]:
+    np = columnar.numpy_module()
+    groups = len(keys)
+    if np is not None:
+        sizes = np.bincount(group_ids, minlength=groups).tolist()
+    else:
+        sizes = [0] * groups
+        for group in group_ids:
+            sizes[group] += 1
+    order = bounds = None
+    grouped: dict[tuple[str, int], list] = {}
+    columns: list[list] = []
+    for kind, located in specs:
+        if kind == "key":
+            columns.append(keys)
+        elif located is None:  # COUNT(*)
+            columns.append(sizes)
+        elif kind == "count":
+            columns.append(_present_counts(frame, located, group_ids,
+                                           sizes))
+        else:
+            if order is None:
+                order, bounds = _group_order(group_ids, sizes)
+            values = grouped.get(located)
+            if values is None:
+                values = grouped[located] = frame.column(*located, order)
+            fold = min if kind == "min" else max
+            columns.append([fold(values[low:high]) if high > low else None
+                            for low, high in bounds])
+    return list(zip(*columns))
+
+
+def _present_counts(frame, located, group_ids, sizes) -> list[int]:
+    """COUNT(col) per group: the members whose value is not NULL."""
+    if not frame.size:
+        return sizes
+    binding, position = located
+    slot = frame.bindings.index(binding)
+    mask = kernels.notnull_mask(frame.stores[slot], position,
+                                selection=frame.positions[slot])
+    if mask is None:
+        return sizes
+    np = columnar.numpy_module()
+    if np is not None:
+        return np.bincount(group_ids, weights=mask,
+                           minlength=len(sizes)).astype(np.int64).tolist()
+    counts = [0] * len(sizes)
+    for group, present in zip(group_ids, mask):
+        counts[group] += present
+    return counts
+
+
+def _group_order(group_ids, sizes):
+    """Frame rows stably sorted by group (members keep frame order, as
+    in the row path's member lists) and each group's ``(low, high)``
+    slice of that order."""
+    np = columnar.numpy_module()
+    if np is not None:
+        order = kernels.stable_order(group_ids, len(sizes))
+    else:
+        order = sorted(range(len(group_ids)), key=group_ids.__getitem__)
+    bounds = []
+    low = 0
+    for size in sizes:
+        bounds.append((low, low + size))
+        low += size
+    return order, bounds
 
 
 __all__ = ["fast_aggregate", "fast_project", "fast_result"]

@@ -253,11 +253,21 @@ class ColumnStore:
 
     def gather(self, position: int, selection) -> list:
         """Values of the column at *position* for the selected row
-        indices (``None`` selection = every row)."""
-        values = self.values(position)
+        indices -- a list or a numpy position array; ``None`` = every
+        row -- as one C-level pass.  An integer column with a built
+        array gathers through numpy: ``int64`` holds its Python ints
+        exactly, so the values come back equal and of the same type."""
+        column = self.columns[position]
         if selection is None:
-            return list(values)
-        return [values[i] for i in selection]
+            return list(self.values(position))
+        if (_np is not None and isinstance(selection, _np.ndarray)
+                and isinstance(column, PlainColumn)):
+            array = column.array()
+            if array is not None and array.dtype.kind == "i":
+                return array[selection].tolist()
+        if not isinstance(selection, list):
+            selection = selection.tolist()
+        return list(map(self.values(position).__getitem__, selection))
 
     def append_rows(self, rows: Iterable[tuple]) -> None:
         """Fold freshly inserted rows into the store in place.  Only

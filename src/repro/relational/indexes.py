@@ -9,16 +9,23 @@ probes rule sets by attribute.  Two index kinds cover those patterns:
   :mod:`bisect`.
 
 Indexes are snapshots: they index the rows present at construction time.
-Each snapshot records the relation's mutation version so staleness is
-detectable (:attr:`HashIndex.is_stale`), and :class:`IndexCache` -- held
-by the :class:`~repro.relational.database.Database` facade and shared by
-the query planner and the legacy executor -- rebuilds stale snapshots
+Both kinds hold *row positions* into that snapshot, never row tuples:
+:meth:`HashIndex.positions` and :meth:`SortedIndex.range_positions`
+hand the columnar executor a selection vector that addresses the
+relation's :class:`~repro.relational.columnar.ColumnStore` directly
+(while the versions agree), and the row-returning probes gather their
+rows back in one C-level pass.  Each snapshot records the relation's
+mutation version so staleness is detectable (:attr:`HashIndex.is_stale`),
+and :class:`IndexCache` -- held by the
+:class:`~repro.relational.database.Database` facade and shared by the
+query planner and the legacy executor -- rebuilds stale snapshots
 transparently instead of serving them.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Any, Iterator, Sequence
 
 from repro import obs
@@ -26,26 +33,33 @@ from repro.relational.relation import Relation
 
 
 class HashIndex:
-    """Equality index from column value to row list."""
+    """Equality index from column value to the positions of its rows
+    (ascending, i.e. storage order)."""
 
     def __init__(self, relation: Relation, column: str):
         self.relation = relation
         self.column = column
         self.built_version = relation.version
         position = relation.schema.position(column)
-        self._buckets: dict[Any, list[tuple]] = {}
-        for row in relation:
-            value = row[position]
-            self._buckets.setdefault(value, []).append(row)
+        #: the row snapshot positions index into (a pointer copy)
+        self.rows: list[tuple] = list(relation.rows)
+        self._buckets: dict[Any, list[int]] = {}
+        for index, row in enumerate(self.rows):
+            self._buckets.setdefault(row[position], []).append(index)
 
     @property
     def is_stale(self) -> bool:
         """Whether the relation mutated since this snapshot was built."""
         return self.relation.version != self.built_version
 
+    def positions(self, value: Any) -> Sequence[int]:
+        """Positions of the rows whose indexed column equals *value*, in
+        storage order.  Treat as read-only."""
+        return self._buckets.get(value, ())
+
     def lookup(self, value: Any) -> list[tuple]:
         """Rows whose indexed column equals *value*."""
-        return list(self._buckets.get(value, ()))
+        return list(map(self.rows.__getitem__, self.positions(value)))
 
     def distinct_values(self) -> list[Any]:
         return list(self._buckets.keys())
@@ -58,7 +72,9 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Ordered index supporting range scans.
+    """Ordered index supporting range scans: the non-NULL keys sorted
+    (stable, so equal keys keep storage order) beside the positions of
+    their rows.
 
     NULL values are excluded (they belong to no range).
     """
@@ -68,47 +84,51 @@ class SortedIndex:
         self.column = column
         self.built_version = relation.version
         position = relation.schema.position(column)
-        pairs = [(row[position], row) for row in relation
-                 if row[position] is not None]
-        pairs.sort(key=lambda pair: pair[0])
-        self._keys = [key for key, _row in pairs]
-        self._rows = [row for _key, row in pairs]
+        #: the row snapshot positions index into (a pointer copy)
+        self.rows: list[tuple] = list(relation.rows)
+        values = [row[position] for row in self.rows]
+        order = sorted((index for index, value in enumerate(values)
+                        if value is not None), key=values.__getitem__)
+        self._keys = [values[index] for index in order]
+        self._positions = array("q", order)
+
+    def _bounds(self, low: Any, high: Any, low_inclusive: bool,
+                high_inclusive: bool) -> tuple[int, int]:
+        if low is None:
+            start = 0
+        elif low_inclusive:
+            start = bisect.bisect_left(self._keys, low)
+        else:
+            start = bisect.bisect_right(self._keys, low)
+        if high is None:
+            stop = len(self._keys)
+        elif high_inclusive:
+            stop = bisect.bisect_right(self._keys, high)
+        else:
+            stop = bisect.bisect_left(self._keys, high)
+        return start, max(start, stop)
+
+    def range_positions(self, low: Any = None, high: Any = None,
+                        low_inclusive: bool = True,
+                        high_inclusive: bool = True) -> array:
+        """Positions of the rows with indexed value in the given
+        (possibly open) range, in index order (an ``array('q')``)."""
+        start, stop = self._bounds(low, high, low_inclusive, high_inclusive)
+        return self._positions[start:stop]
 
     def range(self, low: Any = None, high: Any = None,
               low_inclusive: bool = True,
               high_inclusive: bool = True) -> Iterator[tuple]:
         """Rows with indexed value in the given (possibly open) range."""
-        if low is None:
-            start = 0
-        elif low_inclusive:
-            start = bisect.bisect_left(self._keys, low)
-        else:
-            start = bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif high_inclusive:
-            stop = bisect.bisect_right(self._keys, high)
-        else:
-            stop = bisect.bisect_left(self._keys, high)
-        return iter(self._rows[start:stop])
+        return map(self.rows.__getitem__, self.range_positions(
+            low, high, low_inclusive, high_inclusive))
 
     def count_range(self, low: Any = None, high: Any = None,
                     low_inclusive: bool = True,
                     high_inclusive: bool = True) -> int:
         """Number of rows in the range, without materializing them."""
-        if low is None:
-            start = 0
-        elif low_inclusive:
-            start = bisect.bisect_left(self._keys, low)
-        else:
-            start = bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif high_inclusive:
-            stop = bisect.bisect_right(self._keys, high)
-        else:
-            stop = bisect.bisect_left(self._keys, high)
-        return max(0, stop - start)
+        start, stop = self._bounds(low, high, low_inclusive, high_inclusive)
+        return stop - start
 
     @property
     def is_stale(self) -> bool:

@@ -29,7 +29,10 @@ class Relation:
         coerced against the schema.
     validated:
         Internal fast path: when True, rows are trusted as-is (used by
-        the algebra operators, which only emit well-typed rows).
+        the algebra operators and the executors, which only emit
+        well-typed row tuples).  A list is adopted without a copy --
+        the caller hands over ownership -- and any other iterable is
+        listed; the rows must already be tuples.
     """
 
     def __init__(self, schema: RelationSchema,
@@ -37,7 +40,8 @@ class Relation:
                  validated: bool = False):
         self.schema = schema
         if validated:
-            self._rows: list[tuple] = [tuple(row) for row in rows]
+            self._rows: list[tuple] = (rows if isinstance(rows, list)
+                                       else list(rows))
         else:
             self._rows = [schema.check_row(row) for row in rows]
         self._version = 0

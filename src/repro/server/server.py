@@ -833,6 +833,14 @@ class IntensionalQueryServer:
         if self._listener is None:
             return
         self._closing.set()
+        # close() alone neither wakes the thread blocked in accept() nor
+        # releases the kernel socket while that call holds it; shutting
+        # the listener down first does both, so the port stops accepting
+        # and the accept thread exits at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -490,3 +490,217 @@ def test_row_functions_on_index_and_table_scans(domain, sql, nodes):
     assert fused, sql
     legacy = execute_select_legacy(fixture.database, parse_select(sql))
     assert sorted(map(repr, legacy.rows)) == sorted(map(repr, fused)), sql
+
+
+# -- selection-vector execution -----------------------------------------------
+#
+# Scan+filter chains (IndexScan or TableScan based) and single-edge hash
+# joins resolve to per-binding row-position vectors, which Project and
+# GROUP BY gather columns from once.  Every case below runs three ways --
+# frames over the numpy kernels, frames over the pure-Python kernels,
+# and the row path (columnar off) -- and all three must agree tuple for
+# tuple, order included, with identical EXPLAIN ANALYZE actuals on every
+# node; the legacy executor must return the same bag.
+
+_HOSPITAL = next(f for f in FIXTURES if f.name == "hospital")
+_SHIP = next(f for f in FIXTURES if f.name == "ship")
+_HOSPITAL_NULLS = next(f for f in _NULL_FIXTURES if f.name == "hospital")
+_SHIP_NULLS = next(f for f in _NULL_FIXTURES if f.name == "ship")
+
+_JOIN = "PATIENT.Ward = WARD.Ward"
+
+#: (fixture, sql, nodes the plan must contain, fast path engages)
+_SELECTION_CASES = [
+    (_HOSPITAL, "SELECT PATIENT.Id, PATIENT.Age FROM PATIENT "
+     "WHERE PATIENT.Severity = 50", ["(hash)"], True),
+    (_HOSPITAL, "SELECT PATIENT.Id, PATIENT.Triage FROM PATIENT "
+     "WHERE PATIENT.Severity >= 40 AND PATIENT.Severity <= 60 "
+     "AND PATIENT.Triage = 'RED'", ["(sorted)", "Filter"], True),
+    (_HOSPITAL, "SELECT PATIENT.Id FROM PATIENT "
+     "WHERE PATIENT.Severity > 90", ["(sorted)"], True),
+    (_HOSPITAL, "SELECT PATIENT.Id, PATIENT.Severity FROM PATIENT "
+     "WHERE PATIENT.Age < 20 AND PATIENT.Severity != 3",
+     ["IndexScan PATIENT on Age", "Filter"], True),
+    (_HOSPITAL_NULLS, "SELECT PATIENT.Id, PATIENT.Ward FROM PATIENT "
+     "WHERE PATIENT.Severity = 50 AND PATIENT.Age >= 30",
+     ["(hash)", "Filter"], True),
+    (_HOSPITAL, f"SELECT PATIENT.Id, WARD.WardName FROM PATIENT, WARD "
+     f"WHERE {_JOIN} AND PATIENT.Age >= 60",
+     ["HashJoin", "IndexScan PATIENT on Age"], True),
+    (_HOSPITAL_NULLS, f"SELECT PATIENT.Id, WARD.WardName, WARD.Floor "
+     f"FROM PATIENT, WARD WHERE {_JOIN}", ["HashJoin"], True),
+    (_HOSPITAL_NULLS, "SELECT p.Id, q.Id, q.Ward FROM PATIENT p, "
+     "PATIENT q WHERE p.Ward = q.Ward AND p.Severity >= 60 "
+     "AND q.Severity >= 55", ["HashJoin", "IndexScan"], True),
+    (_SHIP, "SELECT SUBMARINE.NAME, SUBMARINE.CLASS, CLASS.TYPE "
+     "FROM SUBMARINE, CLASS, INSTALL "
+     "WHERE SUBMARINE.CLASS = CLASS.CLASS AND SUBMARINE.ID = INSTALL.SHIP "
+     "AND INSTALL.SONAR = 'BQS-04'", ["HashJoin", "HashJoin"], True),
+    (_SHIP_NULLS, "SELECT SUBMARINE.Name, INSTALL.Sonar, SONAR.SonarType "
+     "FROM SUBMARINE, INSTALL, SONAR WHERE SUBMARINE.Id = INSTALL.Ship "
+     "AND INSTALL.Sonar = SONAR.Sonar", ["HashJoin", "HashJoin"], True),
+    (_HOSPITAL, f"SELECT WARD.WardName, COUNT(*), MIN(PATIENT.Age), "
+     f"MAX(PATIENT.Severity) FROM PATIENT, WARD WHERE {_JOIN} "
+     f"AND PATIENT.Age >= 40 GROUP BY WARD.WardName", ["HashJoin"], True),
+    (_HOSPITAL, f"SELECT PATIENT.Triage, COUNT(WARD.Floor), "
+     f"MIN(WARD.Floor), MAX(WARD.Beds) FROM PATIENT, WARD "
+     f"WHERE {_JOIN} GROUP BY PATIENT.Triage", ["HashJoin"], True),
+    (_HOSPITAL, "SELECT PATIENT.Triage, COUNT(*), MIN(PATIENT.Age), "
+     "MAX(PATIENT.Age) FROM PATIENT WHERE PATIENT.Severity >= 30 "
+     "GROUP BY PATIENT.Triage", ["IndexScan"], True),
+    (_HOSPITAL, "SELECT PATIENT.Age, COUNT(*), MAX(PATIENT.Severity) "
+     "FROM PATIENT WHERE PATIENT.Severity <= 50 GROUP BY PATIENT.Age",
+     ["TableScan", "Filter"], True),
+    (_HOSPITAL_NULLS, "SELECT PATIENT.Triage, COUNT(*), "
+     "COUNT(PATIENT.Triage) FROM PATIENT GROUP BY PATIENT.Triage",
+     ["TableScan"], True),
+    (_HOSPITAL_NULLS, f"SELECT WARD.Floor, COUNT(PATIENT.Age) "
+     f"FROM PATIENT, WARD WHERE {_JOIN} GROUP BY WARD.Floor",
+     ["HashJoin"], True),
+    (_HOSPITAL, "SELECT COUNT(*), MIN(PATIENT.Age), MAX(PATIENT.Age) "
+     "FROM PATIENT WHERE PATIENT.Severity > 1000", ["IndexScan"], True),
+    (_HOSPITAL, f"SELECT PATIENT.Id, WARD.Floor FROM PATIENT, WARD "
+     f"WHERE {_JOIN} AND PATIENT.Severity > 1000", ["HashJoin"], True),
+    (_HOSPITAL, f"SELECT DISTINCT PATIENT.Triage, WARD.Floor "
+     f"FROM PATIENT, WARD WHERE {_JOIN} AND PATIENT.Age >= 30 "
+     f"ORDER BY WARD.Floor", ["HashJoin"], True),
+    (_HOSPITAL_NULLS, "SELECT PATIENT.Id, PATIENT.Age FROM PATIENT "
+     "WHERE PATIENT.Severity >= 20 ORDER BY PATIENT.Age", ["(sorted)"],
+     True),
+    (_HOSPITAL, f"SELECT DISTINCT WARD.WardName, COUNT(*) "
+     f"FROM PATIENT, WARD WHERE {_JOIN} GROUP BY WARD.WardName",
+     ["HashJoin"], True),
+    # Each of these must fall back to the row path.
+    (_HOSPITAL, "SELECT PATIENT.Triage, SUM(PATIENT.Age) FROM PATIENT "
+     "WHERE PATIENT.Severity >= 30 GROUP BY PATIENT.Triage",
+     ["IndexScan"], False),
+    (_HOSPITAL, f"SELECT WARD.WardName, AVG(PATIENT.Severity) "
+     f"FROM PATIENT, WARD WHERE {_JOIN} GROUP BY WARD.WardName",
+     ["HashJoin"], False),
+    (_HOSPITAL_NULLS, "SELECT PATIENT.Triage, MIN(PATIENT.Age) "
+     "FROM PATIENT WHERE PATIENT.Severity >= 30 GROUP BY PATIENT.Triage",
+     ["IndexScan"], False),
+    (_HOSPITAL, "SELECT PATIENT.Triage, MAX(PATIENT.Ward) FROM PATIENT "
+     "GROUP BY PATIENT.Triage", ["TableScan"], False),
+    (_HOSPITAL, "SELECT PATIENT.Triage, COUNT(*) FROM PATIENT "
+     "GROUP BY PATIENT.Triage ORDER BY PATIENT.Triage", ["TableScan"],
+     False),
+]
+
+
+def _node_actuals(node) -> list[tuple[str, int | None]]:
+    actuals = [(node.label(), node.actual_rows)]
+    for child in node.children():
+        actuals.extend(_node_actuals(child))
+    return actuals
+
+
+def _three_ways(database, sql) -> dict:
+    """``mode -> (rows, per-node actuals, fast path engaged)``."""
+    from repro.plan import vectorized
+
+    statement = parse_select(sql)
+    runs = {}
+    before = columnar.FORCED
+    try:
+        for mode in ("numpy", "pure", "rows"):
+            columnar.set_enabled(mode != "rows")
+            columnar.set_numpy_enabled(mode == "numpy")
+            probe = plan_select(database, statement).root
+            fast = (mode != "rows"
+                    and vectorized.fast_result(probe) is not None)
+            planned = plan_select(database, statement)
+            result = planned.execute()
+            runs[mode] = (list(result.rows), _node_actuals(planned.root),
+                          fast)
+    finally:
+        columnar.set_enabled(before)
+        columnar.set_numpy_enabled(True)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "fixture,sql,nodes,fast", _SELECTION_CASES,
+    ids=[f"{case[0].name}-{index}"
+         for index, case in enumerate(_SELECTION_CASES)])
+def test_selection_vectors_match_row_path(fixture, sql, nodes, fast):
+    rendered = plan_select(fixture.database, parse_select(sql)).render()
+    for node in nodes:
+        assert node in rendered, rendered
+    runs = _three_ways(fixture.database, sql)
+    rows, actuals, _fast = runs["rows"]
+    for mode in ("numpy", "pure"):
+        got_rows, got_actuals, engaged = runs[mode]
+        assert got_rows == rows, (mode, sql)
+        assert got_actuals == actuals, (mode, sql)
+        assert engaged == fast, (mode, sql)
+    legacy = execute_select_legacy(fixture.database, parse_select(sql))
+    assert sorted(map(repr, legacy.rows)) == sorted(map(repr, rows)), sql
+
+
+def test_dml_between_planning_and_execution():
+    """A plan built before DML executes against the relation as it is
+    at execution: indexes and stores are re-resolved (rebuilt) by
+    version, on every path."""
+    database = _HOSPITAL.fresh_database()
+    sql = (f"SELECT PATIENT.Id, WARD.WardName, PATIENT.Severity "
+           f"FROM PATIENT, WARD WHERE {_JOIN} AND PATIENT.Severity >= 60")
+    statement = parse_select(sql)
+    plan_select(database, statement).execute()  # warm index and store
+    planned = {mode: plan_select(database, statement)
+               for mode in ("numpy", "pure", "rows")}
+    execute_statement(database, "DELETE FROM PATIENT "
+                                "WHERE PATIENT.Severity >= 90")
+    execute_statement(database, "INSERT INTO PATIENT VALUES "
+                                "('X001', 33, 77, 'RED', 'W02')")
+    before = columnar.FORCED
+    results = {}
+    try:
+        for mode, plan in planned.items():
+            columnar.set_enabled(mode != "rows")
+            columnar.set_numpy_enabled(mode == "numpy")
+            results[mode] = list(plan.execute().rows)
+    finally:
+        columnar.set_enabled(before)
+        columnar.set_numpy_enabled(True)
+    assert results["numpy"] == results["pure"] == results["rows"]
+    assert any(row[0] == "X001" for row in results["rows"])
+    assert not any(row[2] >= 90 for row in results["rows"])
+    fresh = execute_select_legacy(database, statement)
+    assert sorted(map(repr, fresh.rows)) == sorted(
+        map(repr, results["rows"]))
+
+
+def test_stale_index_falls_back_to_row_path(monkeypatch):
+    """An index whose version differs from the relation's is never
+    addressed into the current column store: frame resolution declines
+    and the row path runs (here serving the index's own snapshot, which
+    both paths then agree on)."""
+    from repro.plan.plans import resolve_frame
+    from repro.relational.indexes import IndexCache
+
+    database = _HOSPITAL.fresh_database()
+    sql = ("SELECT PATIENT.Id, PATIENT.Age FROM PATIENT "
+           "WHERE PATIENT.Severity >= 80")
+    statement = parse_select(sql)
+    relation = database.relation("PATIENT")
+    stale = database.indexes.sorted_index(relation, "Severity")
+    execute_statement(database, "INSERT INTO PATIENT VALUES "
+                                "('X002', 50, 99, 'RED', 'W01')")
+    assert stale.is_stale
+    monkeypatch.setattr(IndexCache, "sorted_index",
+                        lambda self, relation, column: stale)
+    planned = plan_select(database, statement)
+    assert "IndexScan PATIENT on Severity" in planned.render()
+    assert resolve_frame(planned.root.child) is None
+    assert planned.root.child.actual_rows is None
+    before = columnar.FORCED
+    try:
+        columnar.set_enabled(True)
+        fused = list(plan_select(database, statement).execute().rows)
+        columnar.set_enabled(False)
+        rowwise = list(plan_select(database, statement).execute().rows)
+    finally:
+        columnar.set_enabled(before)
+    assert fused == rowwise
+    assert all(row[0] != "X002" for row in fused)

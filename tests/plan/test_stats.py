@@ -130,3 +130,54 @@ class TestStatisticsCatalog:
         database.catalog.register(make_relation())
         assert statistics(database) is statistics(database)
         assert statistics(Database()) is not statistics(database)
+
+
+class TestGroupedOutputEstimate:
+    """``ProjectPlan.records_output`` for aggregates follows the
+    ``records_output``/``distinct_values`` contract: one row for a
+    global aggregate, the product of the group columns' distinct
+    values (capped at the input's rows) for GROUP BY."""
+
+    @pytest.fixture()
+    def database(self):
+        database = Database()
+        rows = [(f"k{i % 3}", i % 5, i) for i in range(60)]
+        database.create("G", [("K", char(4)), ("M", INTEGER),
+                              ("Id", INTEGER)], rows)
+        database.create("H", [("K", char(4)), ("W", INTEGER)],
+                        [(f"k{i}", i) for i in range(3)])
+        return database
+
+    def estimate(self, database, sql):
+        from repro.plan.planner import plan_select
+        from repro.sql.parser import parse_select
+        return plan_select(database, parse_select(sql)).root \
+            .records_output()
+
+    def test_group_by_uses_distinct_values(self, database):
+        assert self.estimate(
+            database, "SELECT G.K, COUNT(*) FROM G GROUP BY G.K") == 3.0
+        assert self.estimate(
+            database, "SELECT G.K, G.M, COUNT(*) FROM G "
+                      "GROUP BY G.K, G.M") == 15.0
+
+    def test_group_by_is_capped_at_input_rows(self, database):
+        assert self.estimate(
+            database, "SELECT G.Id, COUNT(*) FROM G GROUP BY G.Id") == 60.0
+        filtered = self.estimate(
+            database, "SELECT G.Id, COUNT(*) FROM G WHERE G.M = 1 "
+                      "GROUP BY G.Id")
+        assert filtered <= 60.0 / 5 + 1e-9
+
+    def test_group_key_on_the_other_side_of_a_join(self, database):
+        assert self.estimate(
+            database, "SELECT H.W, COUNT(*) FROM G, H WHERE G.K = H.K "
+                      "GROUP BY H.W") == 3.0
+
+    def test_global_aggregate_is_one_row(self, database):
+        assert self.estimate(database, "SELECT COUNT(*) FROM G") == 1.0
+        assert self.estimate(
+            database, "SELECT MAX(G.M) FROM G WHERE G.M > 100") == 1.0
+
+    def test_plain_select_keeps_input_rows(self, database):
+        assert self.estimate(database, "SELECT G.K FROM G") == 60.0

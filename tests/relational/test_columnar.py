@@ -249,18 +249,93 @@ def test_pure_python_kernels_match_numpy(predicate):
     assert _as_list(with_numpy, len(ROWS)) == _as_list(pure, len(ROWS))
 
 
-def test_membership_and_notnull_masks():
+def test_notnull_masks():
     relation = _relation(ROWS)
     store = relation.column_store()
     label = relation.schema.position("Label")
-    member = kernels.membership_mask(store, label, ["a", "zzz"])
-    assert _as_list(member, len(ROWS)) == [
-        value == "a" for _, _, value in ROWS]
     notnull = kernels.notnull_mask(store, label)
     assert _as_list(notnull, len(ROWS)) == [
         value is not None for _, _, value in ROWS]
     assert kernels.notnull_mask(
         store, relation.schema.position("Id")) is None  # provably no NULLs
+
+
+def _kernel_backends():
+    """Run the body once per kernel backend available."""
+    return [True, False] if columnar.HAS_NUMPY else [False]
+
+
+@pytest.mark.parametrize("numpy_on", _kernel_backends())
+@pytest.mark.parametrize("predicate", PREDICATES,
+                         ids=[p.render() for p in PREDICATES])
+def test_selection_masks_match_row_evaluation(predicate, numpy_on):
+    """A mask over a selection evaluates exactly the selected rows, in
+    selection order (an index scan's output feeding a filter)."""
+    relation = _relation(ROWS)
+    selection = [5, 0, 3, 3, 1] if len(ROWS) > 5 else [0]
+    columnar.set_numpy_enabled(numpy_on)
+    try:
+        store = ColumnStore(relation.schema, relation.rows)
+        mask = kernels.predicate_mask(store, [predicate],
+                                      selection=selection)
+        kept = kernels.compress(selection, mask)
+    finally:
+        columnar.set_numpy_enabled(True)
+    reference = _mask_reference(relation, predicate)
+    assert _as_list(mask, len(selection)) == [reference[i]
+                                              for i in selection]
+    assert list(kept) == [i for i in selection if reference[i]]
+
+
+_JOIN_SCHEMA = RelationSchema("J", [
+    Column("I", INTEGER), Column("R", REAL), Column("C", char(4)),
+    Column("N", INTEGER)])
+_JOIN_ROWS = [
+    (1, 1.0, "a", 1), (2, 2.5, "b", None), (1, 1.0, "a", 2),
+    (3, -0.0, None, 1), (2, 0.0, "b", None), (4, 2.5, "c", 2),
+    (1, 7.0, "a", 3), (5, 1.0, "z", 1)]
+
+
+def _reference_pairs(left, right):
+    """Nested loop in probe-then-build order: the row path's order."""
+    return [(i, j) for i, key in enumerate(left) if key is not None
+            for j, other in enumerate(right)
+            if other is not None and {key: True}.get(other, False)]
+
+
+@pytest.mark.parametrize("numpy_on", _kernel_backends())
+@pytest.mark.parametrize("left_column,right_column", [
+    ("C", "C"), ("I", "I"), ("R", "R"), ("N", "I"), ("I", "N"),
+    ("I", "R"), ("N", "N")])
+@pytest.mark.parametrize("selections", [
+    (None, None), ([7, 2, 0, 5], None), (None, [6, 1, 0, 4, 3]),
+    ([], None), ([3, 3, 1], [2, 2, 0])])
+def test_join_pairs_match_nested_loop(left_column, right_column,
+                                      selections, numpy_on):
+    """Duplicate build keys, NULL keys on both sides, int/real keys
+    that compare equal, and -0.0 == 0.0 all pair exactly as Python dict
+    probing does, in left order then ascending build order."""
+    relation = Relation(_JOIN_SCHEMA, _JOIN_ROWS)
+    left_selection, right_selection = selections
+    left_position = _JOIN_SCHEMA.position(left_column)
+    right_position = _JOIN_SCHEMA.position(right_column)
+    columnar.set_numpy_enabled(numpy_on)
+    try:
+        store = ColumnStore(relation.schema, relation.rows)
+        left, right = kernels.join_pairs(
+            store, left_position, left_selection,
+            store, right_position, right_selection)
+    finally:
+        columnar.set_numpy_enabled(True)
+
+    def keys(position, selection):
+        rows = (_JOIN_ROWS if selection is None
+                else [_JOIN_ROWS[i] for i in selection])
+        return [row[position] for row in rows]
+
+    assert list(zip(list(left), list(right))) == _reference_pairs(
+        keys(left_position, left_selection),
+        keys(right_position, right_selection))
 
 
 # -- the REPRO_COLUMNAR knob -------------------------------------------------

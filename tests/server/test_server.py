@@ -13,6 +13,7 @@ from repro.query import IntensionalQueryProcessor
 from repro.server import IntensionalQueryServer, protocol
 from repro.server.client import Client, connect, parse_address
 from repro.testbed import ship_database, ship_ker_schema
+from tests.server.conftest import port_refuses
 
 EXAMPLE_1 = (
     "SELECT SUBMARINE.ID, SUBMARINE.NAME, SUBMARINE.CLASS, CLASS.TYPE "
@@ -272,6 +273,16 @@ class TestLifecycle:
                 time.sleep(0.05)
             assert server.sessions() == []
             client._drop()
+
+    def test_shutdown_wakes_accept_thread_and_releases_port(self):
+        server = IntensionalQueryServer(_ship_system()).start()
+        accept_thread = server._accept_thread
+        host, port = server.host, server.port
+        with Client(host, port) as client:
+            client.ping()
+        server.shutdown()
+        assert not accept_thread.is_alive()
+        assert port_refuses(host, port)
 
     def test_graceful_shutdown_rolls_back_open_transaction(
             self, tmp_path):
