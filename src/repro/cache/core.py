@@ -118,6 +118,20 @@ def estimate_relation_bytes(relation: Relation) -> int:
     return int(512 + per_row * len(rows))
 
 
+def estimate_inference_bytes(inference) -> int:
+    """Approximate retained size of an ask's intensional half: a fixed
+    2048 for the fact base and conditions, plus the forward and backward
+    tuples.  Each forward derivation (and its trigger snapshot) is built
+    for this ask; backward descriptions are shared with the rule index,
+    so only the tuple's slots holding them are charged."""
+    nbytes = (2048 + sys.getsizeof(inference.forward)
+              + sys.getsizeof(inference.backward))
+    for derivation in inference.forward:
+        nbytes += (sys.getsizeof(derivation)
+                   + sys.getsizeof(derivation.triggers))
+    return nbytes
+
+
 class _PlanEntry:
     __slots__ = ("plan", "stats_version", "deps")
 
@@ -304,7 +318,8 @@ class QueryCache:
                   elapsed: float) -> None:
         if not self.enabled:
             return
-        nbytes = estimate_relation_bytes(result.extensional) + 2048
+        nbytes = (estimate_relation_bytes(result.extensional)
+                  + estimate_inference_bytes(result.inference))
         self._admit(("ask",) + ask_key, result,
                     deps=self._deps_of(relations),
                     rules_version=rules_version, degraded=degraded,

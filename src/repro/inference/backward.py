@@ -8,25 +8,21 @@ premise *describes a subset of the answers*.  The description can be
 incomplete (Example 2: class 1301 is an SSBN but no surviving rule says
 so), which is why backward answers characterize a set *contained in* the
 extensional answer.
+
+The descriptions themselves are precomputed by the
+:class:`~repro.rules.ruleset.RuleIndex`, one tuple per consequence
+interval and provenance, and shared across asks; matching selects
+groups and drops the few rules this ask excludes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import itemgetter
 
 from repro.inference.facts import FactBase
 from repro.rules.clause import AttributeRef, Interval
 from repro.rules.rule import Rule
-from repro.rules.ruleset import RuleSet
-
-
-class PartialDescription(NamedTuple):
-    """One backward-derived subset description."""
-
-    rule: Rule
-    #: whether the matched consequence fact came straight from the query
-    #: (Example 2) or was itself forward-derived (Example 3).
-    via_derived_fact: bool
+from repro.rules.ruleset import PartialDescription, RuleSet
 
 
 def backward_match(facts: FactBase, rules: RuleSet,
@@ -36,14 +32,14 @@ def backward_match(facts: FactBase, rules: RuleSet,
     support-descending with rule-number ties.
 
     Only attributes holding a fact are visited, and on each only the
-    rules whose consequence the :class:`~repro.rules.ruleset.RuleIndex`
-    finds inside the fact.
+    consequence groups lying inside the fact.  A group's premise
+    signature needs the triviality test only when every attribute in it
+    holds a fact; a premise with no fact never restates one.
 
     *exclude* holds ``id()``s of rules to skip -- the engine passes the
     rules that already fired forward, whose backward reading restates
     them.
     """
-    index = rules.index()
     known: dict[tuple[str, str], Interval | None] = {}
 
     def fact_for(attribute: AttributeRef) -> Interval | None:
@@ -51,34 +47,70 @@ def backward_match(facts: FactBase, rules: RuleSet,
             known[attribute.key] = facts.interval_for(attribute)
         return known[attribute.key]
 
-    found: list[tuple[int, int, PartialDescription]] = []
-    for postings in index.conclusions.values():
-        fact = facts.interval_for(postings.attribute)
+    index = rules.index()
+    consequences = index.consequences()
+    selected: list[tuple] = []
+    for key, postings in index.conclusions.items():
+        fact = fact_for(postings.attribute)
         if fact is None:
             continue
-        sources = facts.sources_for(postings.attribute)
-        via_derived = any(source != "query" for source in sources)
-        for position in postings.within(fact):
-            rule = index.rules[position]
-            if exclude and id(rule) in exclude:
-                continue
-            if not fact.contains(rule.rhs.interval):
-                continue  # within() keeps all when it cannot order
-            if _premise_trivial(rule, fact_for):
-                continue
-            found.append((-rule.support, position,
-                          PartialDescription(rule, via_derived)))
-    found.sort()  # positions are unique: descriptions never compared
-    return [description for _, _, description in found]
+        via = any(source != "query"
+                  for source in facts.sources_for(postings.attribute))
+        groups = consequences[key]
+        for slot in postings.inside(fact):
+            group = groups[slot]
+            described = group.described[via]
+            drop: set[int] = set()
+            for rule_id in exclude or ():
+                drop.update(group.rule_offsets.get(rule_id, ()))
+            for refs, offsets in group.signatures:
+                for ref in refs:
+                    if fact_for(ref) is None:
+                        break
+                else:
+                    drop.update(
+                        offset for offset in offsets
+                        if _premise_trivial(described[offset].rule,
+                                            fact_for))
+            if drop:
+                selected.append((_without(group.ranks, drop),
+                                 _without(described, drop)))
+            else:
+                selected.append((group.ranks, described))
+    if not selected:
+        return []
+    if len(selected) == 1:
+        return list(selected[0][1])
+    merged = [pair for ranks, described in selected
+              for pair in zip(ranks, described)]
+    merged.sort(key=itemgetter(0))
+    return [description for _, description in merged]
+
+
+def _without(items: tuple, drop: set[int]) -> list:
+    """*items* less the offsets in *drop*, copied slice by slice."""
+    out: list = []
+    start = 0
+    for offset in sorted(drop):
+        out.extend(items[start:offset])
+        start = offset + 1
+    out.extend(items[start:])
+    return out
 
 
 def _premise_trivial(rule: Rule, fact_for) -> bool:
     """A backward description is uninformative when its premise merely
     restates facts already established for every answer (e.g. the rule's
     premise interval contains the query's own condition).  *fact_for*
-    maps an attribute to its established interval, or ``None``."""
+    maps an attribute to its established interval, or ``None``; a
+    premise that cannot be ordered against its fact restates nothing."""
     for clause in rule.lhs:
         fact = fact_for(clause.attribute)
-        if fact is None or not clause.interval.contains(fact):
+        if fact is None:
+            return False
+        try:
+            if not clause.interval.contains(fact):
+                return False
+        except TypeError:
             return False
     return True

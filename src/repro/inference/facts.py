@@ -104,15 +104,19 @@ class FactBase:
 
         Multiple assertions on one attribute intersect (all of them hold
         simultaneously).  Returns True when the stored fact narrowed.
-        A contradictory assertion (empty intersection) raises -- it
-        means the query is unsatisfiable against the knowledge base.
+        A contradictory assertion (empty intersection, or one that
+        cannot be ordered against the fact) raises -- it means the
+        query is unsatisfiable against the knowledge base.
         """
         canon = self.canonicalizer.canon(ref)
         existing = self._facts.get(canon.key)
         if existing is None:
             self._facts[canon.key] = (canon, FactEntry(interval, (source,)))
             return True
-        merged = existing[1].interval.intersect(interval)
+        try:
+            merged = existing[1].interval.intersect(interval)
+        except TypeError:
+            merged = None  # no value can be ordered against both
         if merged is None:
             raise InferenceError(
                 f"contradictory facts on {canon.render()}: "

@@ -29,7 +29,7 @@ from repro.inference.facts import FactBase
 from repro.rules.clause import Clause
 from repro.rules.rule import Rule
 from repro.rules.ruleset import Postings, RuleSet
-from repro.rules.subsumption import interval_subsumes
+from repro.rules.subsumption import interval_subsumes, within_domain
 
 
 class ForwardDerivation(NamedTuple):
@@ -117,17 +117,16 @@ def _candidates(facts: FactBase,
     """Positions of the rules whose premise on one of these attributes
     subsumes the attribute's fact: the premise interval contains the
     fact narrowed to the declared domain, or the fact misses the domain
-    (then every premise subsumes it vacuously)."""
+    (then every premise subsumes it vacuously).  A domain that cannot be
+    ordered against the fact is not applied."""
     out: list[int] = []
     for postings in postings_list:
         fact = facts.interval_for(postings.attribute)
         if fact is None:
             continue
-        domain = facts.domain_for(postings.attribute)
-        if domain is not None:
-            fact = fact.intersect(domain)
-            if fact is None:
-                out.extend(postings.positions)
-                continue
+        fact = within_domain(fact, facts.domain_for(postings.attribute))
+        if fact is None:
+            out.extend(postings.positions)
+            continue
         out.extend(postings.containing(fact))
     return out

@@ -12,13 +12,21 @@ premise on it and the rules concluding on it, with their distinct
 intervals sorted by lower endpoint.  Forward chaining, backward
 matching and the planner's semantic optimizer all retrieve their
 candidate rules from it instead of scanning the whole set.
+
+Backward matching goes further: on first use the index groups the rules
+concluding on each attribute by distinct consequence interval, orders
+each group's rules as answers list them (support descending, then rule
+position), and precomputes one tuple of :class:`PartialDescription`
+per group and provenance.  An ask bisects to the groups inside its fact
+and returns those shared descriptions, dropping only the rules the
+forward pass fired and premises that restate a fact.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.rules.clause import AttributeRef, Clause, Interval
 from repro.rules.rule import Rule
@@ -62,14 +70,14 @@ class Postings:
     """The rules with a clause on one attribute.
 
     :attr:`positions` lists the rules' 0-based positions in rule-number
-    order.  The distinct clause intervals are also kept sorted by lower
-    endpoint, each with the positions of the rules that use it, so
-    :meth:`containing` and :meth:`within` bisect to the intervals that
-    can qualify and test only those.  Intervals whose endpoints cannot
-    be ordered are not narrowed: every rule stays a candidate.
+    order.  :attr:`groups` pairs each distinct clause interval with the
+    positions of the rules that use it, sorted by lower endpoint, so
+    :meth:`containing` and :meth:`inside` bisect to the intervals that
+    can qualify and test only those.  When the endpoints cannot be
+    ordered the groups keep first-use order and nothing is narrowed.
     """
 
-    __slots__ = ("attribute", "positions", "_groups", "_lows")
+    __slots__ = ("attribute", "positions", "groups", "_lows")
 
     def __init__(self, entries: list[tuple[int, Clause]]):
         #: the attribute as the first rule on it spells it.
@@ -78,46 +86,97 @@ class Postings:
         groups: dict[Interval, list[int]] = {}
         for position, clause in entries:
             groups.setdefault(clause.interval, []).append(position)
+        self.groups = list(groups.items())
         try:
-            self._groups = sorted(groups.items(),
-                                  key=lambda group: _low_key(group[0].low))
+            self.groups = sorted(self.groups,
+                                 key=lambda group: _low_key(group[0].low))
         except TypeError:
-            self._groups = None
+            self._lows = None
             return
-        self._lows = [_low_key(interval.low) for interval, _ in self._groups]
+        self._lows = [_low_key(interval.low) for interval, _ in self.groups]
 
     def containing(self, interval: Interval) -> list[int]:
         """Positions of the rules whose interval contains *interval*
         (only intervals starting at or below it can)."""
-        if self._groups is None:
+        if self._lows is None:
             return self.positions
         try:
             stop = bisect_right(self._lows, _low_key(interval.low))
-            return _merged(positions for candidate, positions
-                           in self._groups[:stop]
-                           if candidate.contains(interval))
+            return sorted({position for candidate, positions
+                           in self.groups[:stop]
+                           if candidate.contains(interval)
+                           for position in positions})
         except TypeError:
             return self.positions
 
-    def within(self, interval: Interval) -> list[int]:
-        """Positions of the rules whose interval lies inside *interval*
-        (only intervals starting inside it can)."""
-        if self._groups is None:
-            return self.positions
-        try:
-            start = bisect_left(self._lows, _low_key(interval.low))
-            stop = (len(self._lows) if interval.high is None
+    def inside(self, interval: Interval) -> list[int]:
+        """Offsets into :attr:`groups` of the intervals lying inside
+        *interval* (only intervals starting inside it can).  An interval
+        that cannot be ordered against *interval* is never inside it."""
+        candidates = range(len(self.groups))
+        if self._lows is not None:
+            try:
+                candidates = range(
+                    bisect_left(self._lows, _low_key(interval.low)),
+                    len(self._lows) if interval.high is None
                     else bisect_right(self._lows, _low_key(interval.high)))
-            return _merged(positions for candidate, positions
-                           in self._groups[start:stop]
-                           if interval.contains(candidate))
-        except TypeError:
-            return self.positions
+            except TypeError:
+                pass
+        out = []
+        for offset in candidates:
+            try:
+                if interval.contains(self.groups[offset][0]):
+                    out.append(offset)
+            except TypeError:
+                continue
+        return out
 
 
-def _merged(position_lists: Iterable[list[int]]) -> list[int]:
-    return sorted({position for positions in position_lists
-                   for position in positions})
+class PartialDescription(NamedTuple):
+    """One backward-derived subset description."""
+
+    rule: Rule
+    #: whether the matched consequence fact came straight from the query
+    #: (Example 2) or was itself forward-derived (Example 3).
+    via_derived_fact: bool
+
+
+class ConsequenceGroup:
+    """The rules concluding one distinct interval (one entry of
+    :attr:`Postings.groups`) on one attribute, in backward answer
+    order: support descending, then rule position.
+
+    ``described[via]`` is the group's tuple of
+    :class:`PartialDescription` with ``via_derived_fact=via``, shared by
+    every answer that selects the group; ``ranks`` holds each
+    description's place in the whole rule set's answer order, the key
+    that merges several groups.  ``signatures`` sub-buckets the offsets
+    by premise attributes (``(refs, offsets)`` pairs), and
+    ``rule_offsets`` maps a rule's ``id()`` to its offsets.
+    """
+
+    __slots__ = ("described", "ranks", "signatures", "rule_offsets")
+
+    def __init__(self, positions: list[int], rules: Sequence[Rule],
+                 rank: list[int]):
+        order = sorted(positions, key=rank.__getitem__)
+        self.described = tuple(
+            tuple(PartialDescription(rules[position], via)
+                  for position in order)
+            for via in (False, True))
+        self.ranks = tuple(rank[position] for position in order)
+        buckets: dict[tuple, tuple[tuple, list[int]]] = {}
+        self.rule_offsets: dict[int, list[int]] = {}
+        for offset, position in enumerate(order):
+            rule = rules[position]
+            refs = {clause.attribute.key: clause.attribute
+                    for clause in rule.lhs}
+            bucket = buckets.setdefault(tuple(refs),
+                                        (tuple(refs.values()), []))
+            bucket[1].append(offset)
+            self.rule_offsets.setdefault(id(rule), []).append(offset)
+        self.signatures = tuple((refs, tuple(offsets))
+                                for refs, offsets in buckets.values())
 
 
 class RuleIndex:
@@ -126,10 +185,12 @@ class RuleIndex:
     ``rules`` is the rule sequence the positions refer to;
     ``premises`` and ``conclusions`` map an attribute key to the
     postings of the rules with a premise on it and of the rules
-    concluding on it.
+    concluding on it.  :meth:`consequences` adds the backward answer
+    shape on first use.
     """
 
-    __slots__ = ("version", "rules", "premises", "conclusions", "relations")
+    __slots__ = ("version", "rules", "premises", "conclusions", "relations",
+                 "_consequences")
 
     def __init__(self, rules: Sequence[Rule], version: int):
         self.version = version
@@ -149,6 +210,27 @@ class RuleIndex:
         #: relation names (lower) some rule mentions.
         self.relations = frozenset(
             key[0] for key in itertools.chain(premises, conclusions))
+        self._consequences: dict[tuple[str, str],
+                                 list[ConsequenceGroup]] | None = None
+
+    def consequences(self) -> dict[tuple[str, str], list[ConsequenceGroup]]:
+        """By conclusion attribute key, one :class:`ConsequenceGroup`
+        per entry of that attribute's ``conclusions`` groups; built on
+        the first call and kept for the life of this version."""
+        built = self._consequences
+        if built is None:
+            rules = self.rules
+            order = sorted(range(len(rules)),
+                           key=lambda position: (-rules[position].support,
+                                                 position))
+            rank = [0] * len(rules)
+            for place, position in enumerate(order):
+                rank[position] = place
+            built = self._consequences = {
+                key: [ConsequenceGroup(positions, rules, rank)
+                      for _interval, positions in postings.groups]
+                for key, postings in self.conclusions.items()}
+        return built
 
 
 class RuleSet:

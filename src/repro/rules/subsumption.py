@@ -26,15 +26,32 @@ def interval_subsumes(premise: Interval, condition: Interval,
     the paper concludes that
     ``Displacement > 8000`` implies membership in ``[7250, 30000]`` when
     the schema declares ``Displacement in [2000..30000]``.
+
+    A premise that cannot be ordered against the condition never
+    subsumes it.
     """
-    effective_condition = condition
-    if domain is not None:
-        narrowed = condition.intersect(domain)
-        if narrowed is None:
-            # The condition excludes every legal value; vacuously subsumed.
-            return True
-        effective_condition = narrowed
-    return premise.contains(effective_condition)
+    effective_condition = within_domain(condition, domain)
+    if effective_condition is None:
+        # The condition excludes every legal value; vacuously subsumed.
+        return True
+    try:
+        return premise.contains(effective_condition)
+    except TypeError:
+        return False
+
+
+def within_domain(condition: Interval,
+                  domain: Interval | None) -> Interval | None:
+    """*condition* narrowed to the declared *domain*, or ``None`` when it
+    lies wholly outside it.  A domain that cannot be ordered against the
+    condition narrows nothing, as in
+    :meth:`~repro.inference.facts.FactBase.misses_domain`."""
+    if domain is None:
+        return condition
+    try:
+        return condition.intersect(domain)
+    except TypeError:
+        return condition
 
 
 def clause_subsumes(premise: Clause, condition: Clause,

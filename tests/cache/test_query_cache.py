@@ -6,6 +6,8 @@ same numbers ``\\cache`` prints), so "invalidated exactly the dependent
 entries" is a counted fact, not an inference from timing.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import obs
@@ -140,6 +142,26 @@ class TestAskCache:
         ship_system.ask(ASK_SQL)
         ship_system.ask(ASK_SQL, forward=False)
         assert cache.counters["ask.miss"] == 2
+
+    def test_ask_bytes_grow_with_backward_descriptions(self, ship_system):
+        cache = eager_cache(ship_system.database)
+        result = ship_system.ask(ASK_SQL)
+        assert result.inference.backward
+        charged = []
+        for count in (0, 1, 100, 1000):
+            inference = SimpleNamespace(
+                forward=result.inference.forward,
+                backward=(result.inference.backward[0],) * count)
+            before = cache.bytes_used
+            cache.admit_ask(("bytes", count), ship_system.rules.version,
+                            False, [], SimpleNamespace(
+                                extensional=result.extensional,
+                                inference=inference), elapsed=1.0)
+            charged.append(cache.bytes_used - before)
+        assert charged == sorted(set(charged))
+        # At least one pointer per retained description.
+        assert charged[3] - charged[2] >= 900 * 8
+        assert charged[0] > estimate_relation_bytes(result.extensional)
 
     def test_dml_drops_the_dependent_answer(self, ship_system):
         cache = eager_cache(ship_system.database)

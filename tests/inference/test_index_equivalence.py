@@ -9,9 +9,16 @@ sets and facts (multi-premise rules, chains, FK/join equivalences,
 declared domains, open and unbounded intervals, rules added after the
 index was first built) and the indexed results must equal the oracle's,
 in the same order.
+
+Backward matching reads shared, pre-ordered description tuples from the
+index, so its oracle also covers what that sharing could get wrong:
+consequence endpoints of mixed types on one attribute, facts selecting
+several consequence groups on several attributes (the merge order),
+repeated calls (the same description objects), and rules added after
+the groups were built.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import InferenceError
 from repro.inference.backward import _premise_trivial, backward_match
@@ -55,8 +62,20 @@ rules = st.builds(
     support=st.integers(0, 2))
 
 
+#: Endpoints that cannot be ordered against the integer ones.
+MIXED = [Interval.point("x"), Interval.point("y"), Interval.closed("a", "c"),
+         Interval.at_least("b"), Interval.at_most("b", strict=True)]
+mixed = st.sampled_from(MIXED)
+mixed_rules = st.builds(
+    Rule,
+    st.lists(st.builds(Clause, ATTRIBUTES, wide | intervals | mixed),
+             min_size=1, max_size=3),
+    st.builds(Clause, ATTRIBUTES, points | intervals | mixed),
+    support=st.integers(0, 2))
+
+
 @st.composite
-def knowledge(draw):
+def knowledge(draw, rules=rules, conditions=points | points | intervals):
     """(rule set, FactBase factory): some rules are added after the
     index was built, which bumps the version."""
     first = draw(st.lists(rules, min_size=3, max_size=16))
@@ -69,8 +88,7 @@ def knowledge(draw):
         [Interval.closed(0, 5), Interval.closed(1, 4),
          Interval.closed(0, 2), Interval.closed(3, 5)]), max_size=3))
     conditions = draw(st.lists(
-        st.builds(Clause, ATTRIBUTES, points | points | intervals),
-        min_size=1, max_size=4))
+        st.builds(Clause, ATTRIBUTES, conditions), min_size=1, max_size=4))
 
     def make_facts():
         facts = FactBase(Canonicalizer(pairs), domains)
@@ -115,13 +133,18 @@ def naive_backward_match(facts, rules, exclude=None):
         if exclude and id(rule) in exclude:
             continue
         fact = facts.interval_for(rule.rhs.attribute)
-        if fact is None or not fact.contains(rule.rhs.interval):
+        if fact is None:
             continue
+        try:
+            if not fact.contains(rule.rhs.interval):
+                continue
+        except TypeError:
+            continue  # cannot be ordered against the fact: no match
         if _premise_trivial(rule, facts.interval_for):
             continue
         sources = facts.sources_for(rule.rhs.attribute)
         out.append((rule, any(source != "query" for source in sources)))
-    out.sort(key=lambda item: -item[0].support)
+    out.sort(key=lambda item: (-item[0].support, item[0].number))
     return out
 
 
@@ -232,6 +255,120 @@ class TestBackwardEquivalence:
         expected = naive_backward_match(facts, ruleset, exclude=fired)
         assert [(id(d.rule), d.via_derived_fact) for d in got] == \
             [(id(rule), via) for rule, via in expected]
+
+
+def _chained(facts, ruleset, chain_first):
+    """The exclusion set forward chaining leaves, or ``None`` when the
+    facts contradict each other."""
+    fired: set[int] = set()
+    if chain_first:
+        try:
+            forward_chain(facts, ruleset, fired=fired)
+        except InferenceError:
+            return None
+    return fired
+
+
+def _view(descriptions):
+    return [(id(d.rule), d.via_derived_fact) for d in descriptions]
+
+
+def _oracle_view(expected):
+    return [(id(rule), via) for rule, via in expected]
+
+
+#: Conclusion attributes of the fan-in rule sets, and the wide facts
+#: that select several consequence groups on each of them.
+FAN_IN = [AttributeRef("T", "B"), AttributeRef("U", "D")]
+
+
+@st.composite
+def fan_in(draw):
+    """Many rules concluding into a few points on two attributes, with
+    premises on attributes that may hold a fact, and wide facts on both
+    conclusion attributes."""
+    ruleset = RuleSet(draw(st.lists(st.builds(
+        Rule,
+        st.lists(st.builds(Clause, st.sampled_from(
+            [AttributeRef("T", "A"), AttributeRef("T", "C")]),
+            wide | intervals), min_size=1, max_size=2),
+        st.builds(Clause, st.sampled_from(FAN_IN),
+                  st.sampled_from(POINTS[:4])),
+        support=st.integers(0, 3)), min_size=4, max_size=30)))
+    facts_on = [Clause(attribute, draw(st.sampled_from(
+        [Interval.everything(), Interval.closed(0, 5),
+         Interval.closed(1, 3)]))) for attribute in FAN_IN]
+    premise_facts = draw(st.lists(st.builds(
+        Clause, st.sampled_from([AttributeRef("T", "A"),
+                                 AttributeRef("T", "C")]), points),
+        max_size=2, unique_by=lambda clause: clause.attribute.key))
+
+    def make_facts():
+        facts = FactBase()
+        for clause in facts_on + premise_facts:
+            facts.add_condition(clause)
+        return facts
+
+    return ruleset, make_facts
+
+
+class TestBackwardGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(knowledge(mixed_rules, points | mixed | intervals),
+           st.booleans())
+    def test_mixed_type_consequences(self, kb, chain_first):
+        ruleset, make_facts = kb
+        facts = make_facts()
+        fired = _chained(facts, ruleset, chain_first)
+        if fired is None:
+            return
+        got = backward_match(facts, ruleset, exclude=fired)
+        expected = naive_backward_match(facts, ruleset, exclude=fired)
+        assert _view(got) == _oracle_view(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fan_in(), st.booleans())
+    def test_merge_across_groups_and_attributes(self, kb, chain_first):
+        ruleset, make_facts = kb
+        facts = make_facts()
+        fired = _chained(facts, ruleset, chain_first)
+        got = backward_match(facts, ruleset, exclude=fired)
+        groups = {(d.rule.rhs.attribute.key, d.rule.rhs.interval)
+                  for d in got}
+        assume(len(groups) >= 3
+               and len({key for key, _ in groups}) >= 2)
+        expected = naive_backward_match(facts, ruleset, exclude=fired)
+        assert _view(got) == _oracle_view(expected)
+        keys = [(-d.rule.support, d.rule.number) for d in got]
+        assert keys == sorted(keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(knowledge(), st.booleans())
+    def test_repeated_calls_share_descriptions(self, kb, chain_first):
+        ruleset, make_facts = kb
+        runs = []
+        for _call in range(2):
+            facts = make_facts()
+            fired = _chained(facts, ruleset, chain_first)
+            if fired is None:
+                return
+            runs.append(backward_match(facts, ruleset, exclude=fired))
+        first, second = runs
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
+
+    @settings(max_examples=100, deadline=None)
+    @given(knowledge(), st.lists(rules, min_size=1, max_size=4))
+    def test_rules_added_after_groups_were_built(self, kb, added):
+        ruleset, make_facts = kb
+        backward_match(make_facts(), ruleset)
+        built = ruleset.index()
+        ruleset.extend(added)
+        assert ruleset.index() is not built
+        facts = make_facts()
+        got = backward_match(facts, ruleset)
+        assert _view(got) == _oracle_view(
+            naive_backward_match(facts, ruleset))
 
 
 class TestSemanticEquivalence:

@@ -102,3 +102,43 @@ class TestContradictionWhileChaining:
             [Clause.between("T.A", 6, 7)])
         assert result.unsatisfiable
         assert result.forward == () and result.backward == ()
+
+
+class TestMistypedLiterals:
+    """A literal of another type than the column's values cannot be
+    ordered against the rules' intervals.  Such rules neither fire nor
+    match, a domain that cannot order the literal is not applied, and
+    the ask answers like ``execute_sql`` instead of raising
+    ``TypeError``."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT CLASS.CLASS FROM CLASS WHERE CLASS.TYPE = 5",
+        "SELECT CLASS.CLASS FROM CLASS WHERE CLASS.DISPLACEMENT = 'big'",
+    ])
+    def test_rows_match_execute_sql(self, ship_system, sql):
+        from repro.sql.executor import execute_sql
+
+        result = ship_system.ask(sql)
+        assert result.extensional.rows == \
+            execute_sql(ship_system.database, sql).rows
+        assert not result.inference.forward
+        assert not result.inference.backward
+        result.render()
+
+    def test_literal_against_derived_fact_is_unsatisfiable(self,
+                                                            ship_system):
+        # Displacement > 8000 derives Type = SSBN, which no integer
+        # Type can equal.
+        sql = ("SELECT CLASS.CLASS FROM CLASS "
+               "WHERE CLASS.TYPE = 5 AND CLASS.DISPLACEMENT > 8000")
+        result = ship_system.ask(sql)
+        assert result.extensional.rows == []
+        assert result.inference.unsatisfiable
+
+    def test_mixed_literals_on_one_column_are_unsatisfiable(
+            self, ship_system):
+        result = ship_system.ask(
+            "SELECT CLASS.CLASS FROM CLASS "
+            "WHERE CLASS.TYPE = 5 AND CLASS.TYPE = 'SSN'")
+        assert result.extensional.rows == []
+        assert result.inference.unsatisfiable

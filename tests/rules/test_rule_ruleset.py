@@ -160,15 +160,58 @@ class TestRuleIndex:
         assert premises.containing(Interval.closed(8000, 9000)) == [0]
         assert premises.containing(Interval.closed(7000, 9000)) == []
         assert premises.containing(Interval.at_least(8000)) == []
-        conclusions = index.conclusions[self.TYPE.key]
-        assert conclusions.within(Interval.point("SSBN")) == [0, 1]
-        assert conclusions.within(Interval.point("SSN")) == []
-        assert conclusions.within(Interval.everything()) == [0, 1]
+
+    @staticmethod
+    def _inside(index, key, fact):
+        """Rule numbers of each consequence group inside *fact*, in
+        answer order."""
+        groups = index.consequences()[key]
+        return [[description.rule.number
+                 for description in groups[offset].described[False]]
+                for offset in index.conclusions[key].inside(fact)]
+
+    def test_consequence_groups(self, ruleset):
+        index = ruleset.index()
+        key = self.TYPE.key
+        assert self._inside(index, key, Interval.point("SSBN")) == [[1, 2]]
+        assert self._inside(index, key, Interval.point("SSN")) == []
+        assert self._inside(index, key, Interval.everything()) == [[1, 2]]
+        assert index.consequences() is index.consequences()
+
+    def test_groups_bisect_and_order_by_support(self):
+        ruleset = RuleSet([
+            Rule([Clause.between("T.A", 0, 1)], Clause.equals("T.B", 5),
+                 support=1),
+            Rule([Clause.between("T.A", 2, 3)], Clause.between("T.B", 1, 2),
+                 support=2),
+            Rule([Clause.between("T.C", 4, 5)], Clause.equals("T.B", 5),
+                 support=7),
+            Rule([Clause.between("T.A", 6, 7)], Clause.equals("T.B", 9))])
+        index, key = ruleset.index(), ("t", "b")
+        assert self._inside(index, key, Interval.closed(1, 5)) == [
+            [2], [3, 1]]
+        assert self._inside(index, key, Interval.at_least(3)) == [
+            [3, 1], [4]]
+        assert self._inside(index, key, Interval.closed(1, 1)) == []
+        (offset,) = index.conclusions[key].inside(Interval.point(5))
+        group = index.consequences()[key][offset]
+        assert group.ranks == (0, 2)  # R3 leads the whole set
+        assert [[ref.key for ref in refs] for refs, _ in group.signatures] \
+            == [[("t", "c")], [("t", "a")]]
+        assert [offsets for _, offsets in group.signatures] == [(0,), (1,)]
 
     def test_unordered_endpoints_are_not_narrowed(self):
         mixed = RuleSet([
             Rule([Clause.between("T.A", 1, 2)], Clause.equals("T.B", 1)),
             Rule([Clause.between("T.A", "x", "y")],
-                 Clause.equals("T.B", 2))])
+                 Clause.equals("T.B", 2)),
+            Rule([Clause.between("T.A", 3, 4)], Clause.equals("T.B", "z"))])
         postings = mixed.index().premises[("t", "a")]
-        assert postings.containing(Interval.point(1)) == [0, 1]
+        assert postings.containing(Interval.point(1)) == [0, 1, 2]
+        index, key = mixed.index(), ("t", "b")
+        # Every group is a candidate; those the fact cannot order are
+        # never inside it.
+        assert self._inside(index, key, Interval.closed(0, 1)) == [[1]]
+        assert self._inside(index, key, Interval.point("z")) == [[3]]
+        assert self._inside(index, key, Interval.everything()) == [
+            [1], [2], [3]]
