@@ -15,11 +15,12 @@ Three levels, one invalidation substrate:
   cleared :attr:`QueryCache.floor_s` are worth the memory) and eviction
   is byte-budgeted LRU.
 * **ask cache** -- full intensional answers
-  (:class:`~repro.query.system.QueryResult`) keyed on the normalized
-  SQL fingerprint, additionally pinned to the rule-base version and the
-  storage layer's ``rules_stale`` degradation flag, so ILS re-induction
-  and stale-rule suppression can never serve an answer induced from
-  other data.
+  (:class:`~repro.query.system.QueryResult`) keyed on the statement's
+  token key (:func:`~repro.sql.fingerprint.statement_key`),
+  additionally pinned to the rule-base version and the storage
+  layer's ``rules_stale`` degradation flag, so ILS re-induction and
+  stale-rule suppression can never serve an answer induced from other
+  data.
 
 Invalidation is *eager and exact*: the cache subscribes to the
 catalog's mutation listeners, so the moment any registered relation
@@ -51,7 +52,9 @@ from __future__ import annotations
 import os
 import sys
 import time
+import weakref
 from collections import OrderedDict
+from itertools import chain
 from typing import Any, Iterable
 
 from repro import obs
@@ -112,9 +115,10 @@ def estimate_relation_bytes(relation: Relation) -> int:
     if not rows:
         return 512
     sample = rows[:32]
-    per_row = sum(
-        sys.getsizeof(row) + sum(sys.getsizeof(value) for value in row)
-        for row in sample) / len(sample)
+    getsizeof = sys.getsizeof
+    per_row = (sum(map(getsizeof, sample))
+               + sum(map(getsizeof, chain.from_iterable(sample)))
+               ) / len(sample)
     return int(512 + per_row * len(rows))
 
 
@@ -186,6 +190,10 @@ class QueryCache:
         #: in-process single-session use, where everything matches).
         self.current_owner = None
         self.bytes_used = 0
+        #: the last relation sized for admission and its size: an ask
+        #: admits the result relation its SELECT just admitted, and
+        #: sizing it again would repeat the same sampling.
+        self._sized: tuple[weakref.ref, int] | None = None
         #: always-on counters: ``"<level>.<hit|miss|bypass>"``,
         #: ``"invalidate.<reason>"``, ``"evictions"``, ``"admit.skipped"``.
         self.counters: dict[str, int] = {}
@@ -229,7 +237,7 @@ class QueryCache:
     # -- plan cache --------------------------------------------------------
 
     def plan_for(self, statement, rules=None, result_name: str = "result",
-                 ) -> tuple[Any, str]:
+                 rendered: str | None = None) -> tuple[Any, str]:
         """Plan *statement* through the plan cache.
 
         Returns ``(planned, status)`` with status one of ``hit`` /
@@ -237,6 +245,7 @@ class QueryCache:
         reused only while every relation it was planned against is the
         same object at the same mutation version -- otherwise the
         statistics it embedded are stale and the statement is re-planned.
+        *rendered* is ``statement.render()`` when the caller holds it.
         """
         from repro.plan.planner import plan_select
         if not self.enabled:
@@ -244,7 +253,9 @@ class QueryCache:
             return plan_select(self.database, statement, rules=rules,
                                result_name=result_name), "bypass"
         rules_version = 0 if rules is None else rules.version
-        key = (statement.render(), result_name, rules_version)
+        if rendered is None:
+            rendered = statement.render()
+        key = (rendered, result_name, rules_version)
         stats_version = self.database.catalog.stats_version()
         entry = self._plans.get(key)
         if entry is not None:
@@ -274,13 +285,15 @@ class QueryCache:
                        result_name: str = "result",
                        batch_size: int | None = None) -> Relation:
         """Execute a SELECT through the plan *and* result caches."""
+        rendered = statement.render() if self.enabled else None
         planned, _status = self.plan_for(statement, rules=rules,
-                                         result_name=result_name)
+                                         result_name=result_name,
+                                         rendered=rendered)
         if not self.enabled:
             self._probe("result", "bypass")
             return planned.execute(batch_size)
         rules_version = 0 if rules is None else rules.version
-        key = ("result", statement.render(), result_name, rules_version)
+        key = ("result", rendered, result_name, rules_version)
         entry = self._lookup(key, "result", rules_version, degraded=False)
         if entry is not None:
             return entry.value
@@ -291,7 +304,7 @@ class QueryCache:
                     deps=self._deps_of(planned.scope.relations.values()),
                     rules_version=rules_version, degraded=False,
                     elapsed=elapsed,
-                    nbytes=estimate_relation_bytes(result))
+                    size=lambda: self._relation_bytes(result))
         return result
 
     # -- ask cache ---------------------------------------------------------
@@ -300,7 +313,7 @@ class QueryCache:
                    degraded: bool):
         """A cached :class:`QueryResult` for *ask_key*, or ``None``.
 
-        *ask_key* is ``(normalize_sql(sql), forward, backward)``.  The
+        *ask_key* is ``(statement_key, forward, backward)``.  The
         entry must match the current rule-base version *and* the
         staleness degradation flag: a mismatch means the knowledge base
         moved (or went stale) underneath the answer, which is counted
@@ -318,12 +331,23 @@ class QueryCache:
                   elapsed: float) -> None:
         if not self.enabled:
             return
-        nbytes = (estimate_relation_bytes(result.extensional)
-                  + estimate_inference_bytes(result.inference))
         self._admit(("ask",) + ask_key, result,
                     deps=self._deps_of(relations),
                     rules_version=rules_version, degraded=degraded,
-                    elapsed=elapsed, nbytes=nbytes)
+                    elapsed=elapsed,
+                    size=lambda: (self._relation_bytes(result.extensional)
+                                  + estimate_inference_bytes(
+                                      result.inference)))
+
+    def _relation_bytes(self, relation: Relation) -> int:
+        """:func:`estimate_relation_bytes`, computed once per relation
+        when consecutive admissions size the same one."""
+        sized = self._sized
+        if sized is not None and sized[0]() is relation:
+            return sized[1]
+        nbytes = estimate_relation_bytes(relation)
+        self._sized = (weakref.ref(relation), nbytes)
+        return nbytes
 
     # -- shared value-store machinery --------------------------------------
 
@@ -353,8 +377,14 @@ class QueryCache:
         return entry
 
     def _admit(self, key: tuple, value, deps: tuple, rules_version: int,
-               degraded: bool, elapsed: float, nbytes: int) -> None:
-        if elapsed < self.floor_s or nbytes > self.byte_budget:
+               degraded: bool, elapsed: float, size) -> None:
+        """Admit *value*; *size* returns its byte estimate and is only
+        called once the entry has cleared the admission floor."""
+        if elapsed < self.floor_s:
+            self._count("admit.skipped")
+            return
+        nbytes = size()
+        if nbytes > self.byte_budget:
             self._count("admit.skipped")
             return
         existing = self._values.get(key)

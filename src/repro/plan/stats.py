@@ -241,7 +241,10 @@ class ColumnStats:
                     pass
             return present / max(1, self.distinct)
         if self.histogram is not None:
-            fraction = self.histogram.fraction(interval)
+            try:
+                fraction = self.histogram.fraction(interval)
+            except TypeError:  # a literal the histogram cannot order
+                fraction = DEFAULT_SELECTIVITY
         elif self.min is not None and self.max is not None:
             try:
                 if ((interval.low is not None and interval.low > self.max)

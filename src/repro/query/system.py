@@ -25,7 +25,7 @@ from repro.errors import SqlError
 from repro.query.conditions import extract_conditions
 from repro.sql.ast import ExplainStmt, SelectStmt
 from repro.sql.executor import execute_select
-from repro.sql.parser import parse_select
+from repro.sql.parser import SqlSource, parse_select
 
 
 def _induce_all_comparisons(binding: SchemaBinding) -> list:
@@ -218,8 +218,9 @@ class IntensionalQueryProcessor:
                                           constraints=self.constraints)
         return self.rules
 
-    def ask(self, sql: str, forward: bool = True,
-            backward: bool = True) -> QueryResult:
+    def ask(self, sql: "str | SqlSource", forward: bool = True,
+            backward: bool = True,
+            statement: SelectStmt | None = None) -> QueryResult:
         """Answer *sql* extensionally and intensionally.
 
         When the database was recovered with a stale rule base, the
@@ -228,22 +229,27 @@ class IntensionalQueryProcessor:
         :meth:`refresh_rules` runs.
 
         Repeated asks are served from the intensional-answer cache: the
-        whole :class:`QueryResult` is memoized on the normalized SQL
-        fingerprint, pinned to the rule-base version, the staleness
-        flag, and a version vector over the touched relations, so any
-        DML, rollback, re-induction or recovery replay drops it before
-        it could go stale.
+        whole :class:`QueryResult` is memoized on the statement's token
+        key (:func:`~repro.sql.fingerprint.statement_key`), pinned to
+        the rule-base version, the staleness flag, and a version vector
+        over the touched relations, so any DML, rollback, re-induction
+        or recovery replay drops it before it could go stale.
+
+        *sql* may be a :class:`~repro.sql.parser.SqlSource` that is
+        already scanned, and *statement* its parsed SELECT (the server
+        parses before it takes locks); the text is scanned and parsed
+        at most once either way.
         """
         from repro.cache.core import query_cache
-        from repro.sql.fingerprint import normalize_sql
         start = time.perf_counter()
+        source = sql if isinstance(sql, SqlSource) else SqlSource(sql)
         storage = self.database.storage
         degraded = (storage is not None and storage.has_rules
                     and storage.rules_stale)
         cache = query_cache(self.database)
-        ask_key = (normalize_sql(sql), bool(forward), bool(backward))
+        ask_key = (source.key, bool(forward), bool(backward))
         warnings: list[str] = []
-        with obs.span("query.ask", sql=sql) as span:
+        with obs.span("query.ask", sql=source.text) as span:
             cached = cache.lookup_ask(ask_key, self.rules.version,
                                       degraded)
             if cached is not None:
@@ -257,7 +263,8 @@ class IntensionalQueryProcessor:
                                       rows=len(cached.extensional),
                                       kind="ask")
                 return cached
-            statement = parse_select(sql)
+            if statement is None:
+                statement = parse_select(source)
             extensional = execute_select(
                 self.database, statement,
                 rules=None if degraded else self.rules)

@@ -29,6 +29,7 @@ from array import array
 from typing import Any, Iterator, Sequence
 
 from repro import obs
+from repro.errors import ExpressionError
 from repro.relational.relation import Relation
 
 
@@ -93,6 +94,20 @@ class SortedIndex:
         self._positions = array("q", order)
 
     def _bounds(self, low: Any, high: Any, low_inclusive: bool,
+                high_inclusive: bool) -> tuple[int, int]:
+        try:
+            return self._bisect(low, high, low_inclusive, high_inclusive)
+        except TypeError as error:  # a bound the keys cannot order
+            bounds = [f"{op} {value!r}" for op, value in (
+                (">=" if low_inclusive else ">", low),
+                ("<=" if high_inclusive else "<", high))
+                if value is not None]
+            raise ExpressionError(
+                f"type error in a range scan of {self.relation.name}."
+                f"{self.column} {' and '.join(bounds)}: {error}"
+            ) from error
+
+    def _bisect(self, low: Any, high: Any, low_inclusive: bool,
                 high_inclusive: bool) -> tuple[int, int]:
         if low is None:
             start = 0

@@ -78,8 +78,7 @@ from repro.server.resilience import (
     AdmissionController, Deadline, DedupTable,
 )
 from repro.sql import ast
-from repro.sql.fingerprint import normalize_sql
-from repro.sql.parser import parse_select, parse_statement
+from repro.sql.parser import SqlSource, parse_select, parse_statement
 
 __all__ = ["ADMIN_COMMANDS", "IntensionalQueryServer", "Session"]
 
@@ -316,15 +315,18 @@ class Session:
             raise SqlError("empty sql request")
         # Memo before admission: a cached read costs no execution slot,
         # so hot reads keep serving even while the gate sheds new work.
-        hit = self._memo_fast_path(("sql", normalize_sql(text)))
+        # The statement is scanned once; the memo key and the parse
+        # both come from those tokens.
+        source = SqlSource(text)
+        memo_key = ("sql", source.key)
+        hit = self._memo_fast_path(memo_key)
         if hit is not None:
             return hit
         with self.server.admission.admit(deadline):
-            statement = parse_statement(text)
+            statement = parse_statement(source)
             if isinstance(statement, (ast.SelectStmt, ast.ExplainStmt)):
-                return self._read_statement(text, statement, deadline)
-            return self._write_statement(text, statement, request,
-                                         deadline)
+                return self._read_statement(memo_key, statement, deadline)
+            return self._write_statement(statement, request, deadline)
 
     def _memo_fast_path(self, key: tuple) -> bytes | None:
         """Serve a memoized frame without parsing or locking.
@@ -339,13 +341,12 @@ class Session:
         with self.server.engine_lock:
             return self.server._wire_memo_get(key)
 
-    def _read_statement(self, text: str, statement,
+    def _read_statement(self, memo_key: tuple, statement,
                         deadline: Deadline | None = None) -> dict | bytes:
         select = (statement.select
                   if isinstance(statement, ast.ExplainStmt) else statement)
-        memo_key = None
-        if isinstance(statement, ast.SelectStmt):
-            memo_key = ("sql", normalize_sql(text))
+        if not isinstance(statement, ast.SelectStmt):
+            memo_key = None
         self._lock_tables(select, exclusive=False)
         system = self.server.system
         try:
@@ -381,7 +382,7 @@ class Session:
         finally:
             self.locks.statement_done()
 
-    def _write_statement(self, text: str, statement, request: dict,
+    def _write_statement(self, statement, request: dict,
                          deadline: Deadline | None = None) -> dict:
         table = getattr(statement, "table", None)
         if table is None:
@@ -411,7 +412,7 @@ class Session:
                         return dict(cached, deduplicated=True)
                 self._enter_cache_scope()
                 try:
-                    from repro.sql.executor import execute_statement
+                    from repro.sql.executor import run_statement
                     storage = system.database.storage
                     # Inside an explicit transaction the statement's
                     # effects can still roll back, so no dedup entry
@@ -430,14 +431,14 @@ class Session:
                             # flushing, so the dedup record commits in
                             # the same WAL batch as the mutation.
                             with storage.statement():
-                                count = execute_statement(
-                                    system.database, text)
+                                count = run_statement(
+                                    system.database, statement)
                                 storage.note_dedup(dedup_key, {
                                     "ok": True, "kind": "count",
                                     "count": int(count)})
                         else:
-                            count = execute_statement(
-                                system.database, text)
+                            count = run_statement(
+                                system.database, statement)
                 finally:
                     self._exit_cache_scope()
             server.stats["writes_total"] += 1
@@ -458,18 +459,19 @@ class Session:
             raise SqlError("empty ask request")
         forward = bool(request.get("forward", True))
         backward = bool(request.get("backward", True))
-        memo_key = ("ask", normalize_sql(text), forward, backward)
+        source = SqlSource(text)
+        memo_key = ("ask", source.key, forward, backward)
         hit = self._memo_fast_path(memo_key)
         if hit is not None:
             return hit
         with self.server.admission.admit(deadline):
-            return self._ask_slow(text, forward, backward, memo_key,
+            return self._ask_slow(source, forward, backward, memo_key,
                                   deadline)
 
-    def _ask_slow(self, text: str, forward: bool, backward: bool,
+    def _ask_slow(self, source: SqlSource, forward: bool, backward: bool,
                   memo_key: tuple,
                   deadline: Deadline | None) -> dict | bytes:
-        select = parse_select(text)
+        select = parse_select(source)
         self._lock_tables(select, exclusive=False)
         system = self.server.system
         try:
@@ -486,8 +488,9 @@ class Session:
                 try:
                     with self._statement_guard(deadline):
                         result = system.ask(
-                            text, forward=forward and not shedding,
-                            backward=backward and not shedding)
+                            source, forward=forward and not shedding,
+                            backward=backward and not shedding,
+                            statement=select)
                 finally:
                     self._exit_cache_scope()
                 warnings = list(result.warnings)
@@ -689,7 +692,8 @@ class IntensionalQueryServer:
         #: serializes statement execution on the shared engine.
         self.engine_lock = threading.RLock()
         self.stats = {"connections_total": 0, "requests_total": 0,
-                      "writes_total": 0, "refused_total": 0}
+                      "writes_total": 0, "refused_total": 0,
+                      "memo_hits_total": 0}
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._reaper_thread: threading.Thread | None = None
@@ -910,6 +914,7 @@ class IntensionalQueryServer:
             if id(relation) != ident or relation.version != version:
                 del self._wire_memo[key]
                 return None
+        self.stats["memo_hits_total"] += 1
         return response
 
     def _wire_memo_put(self, key: tuple, response: dict,

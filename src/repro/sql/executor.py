@@ -31,7 +31,7 @@ from repro.relational.expressions import (
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import ast
-from repro.sql.parser import parse_select
+from repro.sql.parser import SqlSource, parse_select
 
 #: Default SELECT execution path.  ``True`` routes through the
 #: cost-based planner in :mod:`repro.plan`; ``False`` restores the
@@ -40,14 +40,14 @@ from repro.sql.parser import parse_select
 USE_PLANNER = True
 
 
-def execute_sql(database: Database, text: str,
+def execute_sql(database: Database, text: "str | SqlSource",
                 result_name: str = "result") -> Relation:
     """Parse and execute a SELECT statement against *database*."""
     return execute_select(database, parse_select(text),
                           result_name=result_name)
 
 
-def execute_statement(database: Database, text: str,
+def execute_statement(database: Database, text: "str | SqlSource",
                       result_name: str = "result",
                       rules=None) -> Relation | int | str:
     """Parse and execute any supported statement.
@@ -57,7 +57,15 @@ def execute_statement(database: Database, text: str,
     tree as a string (pass *rules* to enable semantic optimization).
     """
     from repro.sql.parser import parse_statement
-    statement = parse_statement(text)
+    return run_statement(database, parse_statement(text),
+                         result_name=result_name, rules=rules)
+
+
+def run_statement(database: Database, statement,
+                  result_name: str = "result",
+                  rules=None) -> Relation | int | str:
+    """Execute an already parsed statement (see
+    :func:`execute_statement`)."""
     if isinstance(statement, ast.ExplainStmt):
         from repro.plan.explain import explain_select
         kind = "explain_analyze" if statement.analyze else "explain"

@@ -1,65 +1,45 @@
-"""Normalized SQL fingerprints for the query cache.
+"""SQL statement keys for the ask cache and the server's wire memo.
 
 Two spellings of the same statement -- differing in case, whitespace,
-or a trailing semicolon -- should hit the same cache entry, so the
-cache keys on a *fingerprint* rather than the raw text.  Literals are
-deliberately preserved verbatim (case included): plans and results are
+comments, or a trailing semicolon -- should hit the same cache entry, so
+the caches key on the statement's *tokens* rather than its raw text.
+Literals are kept verbatim, exactly as the scanner delimited them
+(quotes and backslash escapes included): plans and results are
 literal-specific, so ``WHERE Label = 'G01'`` and ``WHERE Label =
-'g01'`` must never collide.
+'g01'`` must never collide, and neither may two literals that only
+differ after an escaped quote (``'a\\' Typhoon'`` against ``'a\\'
+TYPHOON'``).  Identifiers and keywords are case-folded.
 
-The fingerprint is intentionally cheaper than a parse: one pass over
-the characters, no tokenizer.  Parsed statements already have a
-canonical spelling (``Statement.render()``), which the cache uses when
-it holds an AST; :func:`normalize_sql` covers the raw-text entry points
-(``ask()``, ``execute_sql``) where caching wants to happen *before*
-paying for the parse.
+The key comes from the same scan the parser consumes
+(:class:`~repro.sql.parser.SqlSource`), so a statement is scanned once
+per request, and a cache hit never builds the parser's token objects.
+Re-scanning a key gives back the statement's tokens (identifiers
+lowercased), so two statements share a key only when they lex the same
+up to identifier case.  Parsed statements have their own
+canonical spelling (``Statement.render()``), which the plan and result
+caches key on.
 """
 
 from __future__ import annotations
 
-__all__ = ["normalize_sql"]
+from typing import Sequence
+
+__all__ = ["normalize_sql", "statement_key"]
+
+
+def statement_key(folded: Sequence[str]) -> str:
+    """The cache key of a scanned statement, from its token texts with
+    identifiers and keywords lowercased
+    (:meth:`~repro.langutil.scanner.Lexed.folded`): the texts joined by
+    single spaces, trailing ``;`` tokens dropped."""
+    end = len(folded)
+    while end and folded[end - 1] == ";":
+        end -= 1
+    return " ".join(folded[:end])
 
 
 def normalize_sql(text: str) -> str:
-    """Case-fold and whitespace-collapse *text* outside string literals.
-
-    - runs of whitespace become one space; leading/trailing whitespace
-      and trailing semicolons are dropped;
-    - everything outside quotes is lowercased;
-    - single- and double-quoted literals are copied verbatim,
-      doubled-quote escapes (``'it''s'``) included.
-    """
-    out: list[str] = []
-    pending_space = False
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "'\"":
-            # Copy the whole literal verbatim, honoring '' / "" escapes.
-            j = i + 1
-            while j < n:
-                if text[j] == ch:
-                    if j + 1 < n and text[j + 1] == ch:
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if pending_space and out:
-                out.append(" ")
-            pending_space = False
-            out.append(text[i:min(j, n - 1) + 1])
-            i = j + 1
-            continue
-        if ch.isspace():
-            pending_space = True
-            i += 1
-            continue
-        if pending_space and out:
-            out.append(" ")
-        pending_space = False
-        out.append(ch.lower())
-        i += 1
-    normalized = "".join(out)
-    while normalized.endswith(";"):
-        normalized = normalized[:-1].rstrip()
-    return normalized
+    """The :func:`statement_key` of *text* (raises
+    :class:`~repro.errors.ParseError` where the scanner does)."""
+    from repro.sql.parser import SqlSource
+    return SqlSource(text).key

@@ -10,8 +10,9 @@ examples in this repository use the corrected ``CLASS.DISPLACEMENT``.
 from __future__ import annotations
 
 from repro.errors import ParseError
-from repro.langutil import Scanner, TokenStream, TokenKind
+from repro.langutil import Scanner, Token, TokenStream, TokenKind
 from repro.sql import ast
+from repro.sql.fingerprint import statement_key
 from repro.relational.expressions import (
     And, Arithmetic, ColumnRef, Comparison, Expression, IsNull, Literal,
     Not, Or,
@@ -33,21 +34,53 @@ _COMPARISON_TOKENS = {"=": "=", "!=": "!=", "<>": "!=", "<": "<",
                       "<=": "<=", ">": ">", ">=": ">="}
 
 
-def parse_select(text: str) -> ast.SelectStmt:
+class SqlSource:
+    """One SQL statement's text, scanned once, and its cache key.
+
+    :func:`parse_statement` and :func:`parse_select` parse
+    :attr:`tokens`, and the ask cache and the server's wire memo key on
+    :attr:`key` (:func:`~repro.sql.fingerprint.statement_key`), both
+    from the one :meth:`~repro.langutil.scanner.Scanner.lex` pass, so
+    no entry point scans or fingerprints a statement twice.  The token
+    objects are only built when the statement is parsed.
+    """
+
+    __slots__ = ("text", "key", "_lexed")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._lexed = _SCANNER.lex(text)
+        self.key = statement_key(self._lexed.folded())
+
+    @property
+    def tokens(self) -> list[Token]:
+        return self._lexed.tokens()
+
+
+def _tokens(source: "str | SqlSource") -> list[Token]:
+    if isinstance(source, SqlSource):
+        return source.tokens
+    return _SCANNER.scan(source)
+
+
+def parse_select(source: "str | SqlSource") -> ast.SelectStmt:
     """Parse one SELECT statement (trailing ``;`` allowed)."""
-    statement = parse_statement(text)
+    tokens = _tokens(source)
+    statement = _statement(TokenStream(tokens))
     if not isinstance(statement, ast.SelectStmt):
-        stream = TokenStream(_SCANNER.scan(text))
-        stream.fail("expected a SELECT statement")
+        TokenStream(tokens).fail("expected a SELECT statement")
     return statement
 
 
-def parse_statement(text: str
+def parse_statement(source: "str | SqlSource"
                     ) -> "ast.SelectStmt | ast.InsertStmt | " \
                          "ast.DeleteStmt | ast.UpdateStmt | ast.ExplainStmt":
     """Parse one SQL statement: SELECT, INSERT, DELETE, UPDATE, or
     EXPLAIN SELECT."""
-    stream = TokenStream(_SCANNER.scan(text))
+    return _statement(TokenStream(_tokens(source)))
+
+
+def _statement(stream: TokenStream):
     if stream.at_keyword("select"):
         statement = _select(stream)
     elif stream.accept_keyword("explain"):

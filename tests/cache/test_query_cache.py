@@ -480,3 +480,57 @@ class TestObsMetrics:
         finally:
             obs.disable()
             obs.reset()
+
+
+class TestSizing:
+    """Each admitted relation is sized once; results kept out by the
+    admission floor are never sized; the estimate keeps its formula."""
+
+    @pytest.fixture()
+    def sized(self, monkeypatch):
+        from repro.cache import core
+        calls = []
+
+        def counted(relation):
+            calls.append(relation)
+            return estimate_relation_bytes(relation)
+
+        monkeypatch.setattr(core, "estimate_relation_bytes", counted)
+        return calls
+
+    def test_ask_sizes_its_result_once(self, ship_system, sized):
+        cache = eager_cache(ship_system.database)
+        result = ship_system.ask(ASK_SQL)
+        assert cache.entry_counts()["result"] == 1
+        assert cache.entry_counts()["ask"] == 1
+        assert sized == [result.extensional]
+
+    def test_results_under_the_floor_are_not_sized(self, ship_system,
+                                                   sized):
+        cache = eager_cache(ship_system.database)
+        cache.floor_s = 3600.0
+        ship_system.ask(ASK_SQL)
+        assert cache.counters["admit.skipped"] == 2
+        assert sized == []
+
+    def test_estimate_formula(self):
+        import sys
+
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Column, RelationSchema
+        from repro.relational.datatypes import INTEGER, REAL, char
+
+        schema = RelationSchema("T", [Column("A", char(40)),
+                                      Column("B", INTEGER),
+                                      Column("C", REAL)])
+        relation = Relation(schema, [
+            ("x" * (i % 37), i * 1000003, None if i % 5 else i / 7)
+            for i in range(100)])
+        sample = relation.rows[:32]
+        per_row = sum(sys.getsizeof(row)
+                      + sum(sys.getsizeof(value) for value in row)
+                      for row in sample) / len(sample)
+        assert estimate_relation_bytes(relation) == \
+            int(512 + per_row * len(relation.rows))
+        empty = Relation(schema, [])
+        assert estimate_relation_bytes(empty) == 512
